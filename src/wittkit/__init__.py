@@ -5,8 +5,8 @@ Core layers:
   poly         exact sparse polynomials over the rationals
   fields       vector fields, the Lie bracket, gradings, truncation windows,
                and the standard generator families
-  linalg       exact rational dense linear algebra (compiled kernel with a
-               pure-Python fallback, selected at import)
+  linalg       exact rational dense linear algebra on one pure-Python
+               integer Gauss-Jordan elimination
   derivations  centralizers, submodule closures, first cohomology of
                truncated modules, inner-element reconstruction,
                stabilization scans
@@ -45,7 +45,7 @@ from .fields import (
     sl_basis,
     truncate,
 )
-from .linalg import RationalMatrix, RowSpace, SolveOutcome, active_engine, set_engine
+from .linalg import RationalMatrix, RowSpace, SolveOutcome, active_engine
 from .poly import Monomial, Polynomial
 from .textio import ParseError, SchemaError, parse_field, parse_poly, print_field, print_poly
 
@@ -85,7 +85,6 @@ __all__ = [
     "parse_poly",
     "print_field",
     "print_poly",
-    "set_engine",
     "sl_basis",
     "solve_inner",
     "stabilization_scan",

@@ -1,11 +1,11 @@
-"""Integer Gauss-Jordan elimination, pure-Python engine.
+"""Integer Gauss-Jordan elimination: wittkit's one elimination engine.
 
-Rows are lists of Python ints (arbitrary precision).  ``eliminate`` reduces
-in place over the first ``pivot_limit`` columns; trailing columns (e.g.
-stacked right-hand sides) are carried through every row operation but never
-pivoted on.
+Rows are lists of Python ints (arbitrary precision, so no entry can
+overflow).  ``eliminate`` reduces in place over the first ``pivot_limit``
+columns; trailing columns (e.g. stacked right-hand sides) are carried
+through every row operation but never pivoted on.
 
-Conventions, shared exactly with the compiled twin in ``_elim.pyx``:
+Conventions:
   * pivot search: leftmost nonzero column, first row at or below the
     current row (no pivoting heuristics);
   * every pivot row is reduced by its gcd with the pivot entry positive;
@@ -14,7 +14,7 @@ Conventions, shared exactly with the compiled twin in ``_elim.pyx``:
 After the call, rows[k] is the row with pivot column pivots[k] for
 k < len(pivots); remaining rows are zero on all pivot-eligible columns.
 Dividing each pivot row by its pivot entry yields the (unique) reduced row
-echelon form, so results are canonical regardless of engine.
+echelon form, so results are canonical.
 """
 
 from __future__ import annotations

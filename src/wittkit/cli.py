@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Any
 
-from . import linalg, suites, textio
+from . import suites, textio
 from .derivations import (
     DerivationSpec,
     DerivationSpecError,
@@ -214,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wittkit",
         description="Exact toolkit for Lie algebras of polynomial vector fields.",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("auto", "compiled", "pure"),
-        default=None,
-        help="linear-algebra engine (default: compiled when built)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -304,11 +298,6 @@ def _error_obj(kind: str, exc: Exception) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.engine:
-        try:
-            linalg.set_engine(args.engine)
-        except RuntimeError as exc:
-            parser.error(str(exc))  # exits with code 2
     fmt = getattr(args, "format", "text")
 
     def report(kind: str, exc: Exception, code: int) -> int:

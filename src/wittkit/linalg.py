@@ -1,23 +1,20 @@
 """Exact dense linear algebra over the rationals.
 
-Everything reduces to one integer Gauss-Jordan elimination primitive with
-two interchangeable engines: a compiled kernel (``wittkit._elim``, built
-from Cython) and a pure-Python fallback (``wittkit._elim_py``).  The
-compiled engine works in int64 and raises OverflowError when a row update
-cannot be kept in range, in which case the computation silently reruns on
-the pure engine.  Results are canonical - the reduced row echelon form is
-unique and kernel bases follow the rref free-column convention - so the
-engine choice never changes any output.
+Everything reduces to one integer Gauss-Jordan elimination primitive,
+``wittkit._elim_py.eliminate``, which works on Python ints of arbitrary
+precision.  Results are canonical: the reduced row echelon form is unique
+and kernel bases follow the rref free-column convention.
 
 Rational rows are scaled to integers (by the lcm of the denominators)
 before elimination; pivot rows are divided back by their pivot entry when
 results are read off.  Pivots are chosen deterministically: leftmost
-nonzero column, first available row.
+nonzero column, first available row.  ``RowSpace`` keeps the same integer
+rref incrementally, reducing each new vector against the rows it holds.
 """
 
 from __future__ import annotations
 
-import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -25,42 +22,10 @@ from typing import Sequence
 
 from . import _elim_py
 
-try:
-    from . import _elim as _elim_c
-except ImportError:
-    _elim_c = None
-
-_ENGINE = "auto"
-if os.environ.get("WITTKIT_ENGINE") in ("pure", "compiled", "auto"):
-    _ENGINE = os.environ["WITTKIT_ENGINE"]
-
-
-def set_engine(name: str) -> None:
-    """Select 'compiled', 'pure', or 'auto' (compiled when available)."""
-    global _ENGINE
-    if name not in ("auto", "compiled", "pure"):
-        raise ValueError(f"unknown engine {name!r}")
-    if name == "compiled" and _elim_c is None:
-        raise RuntimeError("compiled engine is not available")
-    _ENGINE = name
-
 
 def active_engine() -> str:
-    """The engine that will actually run: 'compiled' or 'pure'."""
-    if _ENGINE == "pure" or (_ENGINE == "auto" and _elim_c is None):
-        return "pure"
-    return "compiled"
-
-
-def _eliminate(rows: list[list[int]], pivot_limit: int) -> list[int]:
-    if active_engine() == "compiled":
-        try:
-            # the compiled engine works on its own buffer and mutates `rows`
-            # only on success, so falling back needs no copy
-            return _elim_c.eliminate(rows, pivot_limit)
-        except OverflowError:
-            pass
-    return _elim_py.eliminate(rows, pivot_limit)
+    """The elimination engine: always 'pure', the only one there is."""
+    return "pure"
 
 
 @dataclass(frozen=True)
@@ -139,7 +104,7 @@ class SolveOutcome:
     bad_row: int | None = None
 
 
-def _int_rows(m_rows: Sequence[Sequence[Fraction]], extra: Sequence[Sequence[Fraction]] | None = None) -> list[list[int]]:
+def _int_rows(m_rows: Sequence[Sequence[Fraction | int]], extra: Sequence[Sequence[Fraction]] | None = None) -> list[list[int]]:
     """Scale each (row + extra-columns) to coprime integers."""
     out = []
     n_extra = len(extra) if extra else 0
@@ -147,10 +112,9 @@ def _int_rows(m_rows: Sequence[Sequence[Fraction]], extra: Sequence[Sequence[Fra
         full = list(row)
         if extra:
             full.extend(extra[j][i] for j in range(n_extra))
-        den = 1
-        for v in full:
-            den = lcm(den, v.denominator)
-        ints = [int(v * den) for v in full]
+        den = lcm(*[v.denominator for v in full])
+        # numerator * (den // denominator) is v * den without Fraction arithmetic
+        ints = [v.numerator * (den // v.denominator) for v in full]
         g = 0
         for v in ints:
             if v:
@@ -186,7 +150,7 @@ def rref(m: RationalMatrix) -> RationalMatrix:
 
 def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     int_rows = _int_rows(rows)
-    pivots = _eliminate(int_rows, ncols)
+    pivots = _elim_py.eliminate(int_rows, ncols)
     out = []
     for k, c in enumerate(pivots):
         pv = int_rows[k][c]
@@ -196,14 +160,14 @@ def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fracti
 
 def rank(m: RationalMatrix) -> int:
     int_rows = _dedupe_nonzero(_int_rows(m.to_rows()))
-    return len(_eliminate(int_rows, m.cols))
+    return len(_elim_py.eliminate(int_rows, m.cols))
 
 
 def kernel(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Canonical nullspace basis: one vector per rref free column, with a 1
     at the free column and the negated rref column above the pivots."""
     int_rows = _dedupe_nonzero(_int_rows(m.to_rows()))
-    pivots = _eliminate(int_rows, m.cols)
+    pivots = _elim_py.eliminate(int_rows, m.cols)
     return _kernel_from_reduced(int_rows, pivots, m.cols)
 
 
@@ -236,7 +200,7 @@ def solve_many(m: RationalMatrix, bs: Sequence[Sequence[Fraction | int]]) -> lis
         if len(b) != m.rows:
             raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
     int_rows = _dedupe_nonzero(_int_rows(m_rows, cols))
-    pivots = _eliminate(int_rows, m.cols)
+    pivots = _elim_py.eliminate(int_rows, m.cols)
     kernel_basis = tuple(_kernel_from_reduced(int_rows, pivots, m.cols))
     outcomes = []
     for j, b in enumerate(cols):
@@ -264,13 +228,23 @@ def _first_residual(m_rows: list[list[Fraction]], x: list[Fraction], b: list[Fra
     return None
 
 
+def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
+    """``row`` with column c cleared by ``prow`` (whose entry there is
+    positive), divided by its gcd; the sign of ``row`` is kept."""
+    f, pv = row[c], prow[c]
+    row = [a * pv - f * b for a, b in zip(row, prow)]
+    g = _elim_py._row_gcd(row)
+    return [a // g for a in row] if g > 1 else row
+
+
 class RowSpace:
     """Incrementally maintained row space over the rationals.
 
     Internally keeps the integer-scaled reduced row echelon form of all
-    vectors added so far, so membership tests and the canonical basis come
-    for free.  The final basis depends only on the span, not on insertion
-    order.
+    vectors added so far: each row is primitive (gcd 1) with a positive
+    pivot, rows are sorted by pivot column, and every pivot column is zero
+    in the other rows.  That form is unique, so the basis depends only on
+    the span, not on insertion order.
     """
 
     def __init__(self, ncols: int):
@@ -282,21 +256,33 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._rows)
 
-    def add(self, vec: Sequence[Fraction | int]) -> bool:
-        """Add a vector; return True when it enlarged the span."""
+    def _reduce(self, vec: Sequence[Fraction | int]) -> list[int]:
+        """The integer-scaled vector with every stored pivot column cleared."""
         if len(vec) != self.ncols:
             raise ValueError(f"vector length {len(vec)} != {self.ncols}")
-        before = len(self._rows)
-        rows = self._rows + _int_rows([[Fraction(v) for v in vec]])
-        self._pivots = _eliminate(rows, self.ncols)
-        self._rows = rows[: len(self._pivots)]
-        return len(self._rows) > before
+        v = _int_rows([vec])[0]
+        for row, c in zip(self._rows, self._pivots):
+            if v[c]:
+                v = _cancel(v, row, c)
+        return v
+
+    def add(self, vec: Sequence[Fraction | int]) -> bool:
+        """Add a vector; return True when it enlarged the span."""
+        v = self._reduce(vec)
+        if not any(v):
+            return False
+        # one-row elimination: divide v by its gcd, making its pivot positive
+        (c,) = _elim_py.eliminate([v], self.ncols)
+        for k, row in enumerate(self._rows):
+            if row[c]:
+                self._rows[k] = _cancel(row, v, c)
+        k = bisect_left(self._pivots, c)
+        self._rows.insert(k, v)
+        self._pivots.insert(k, c)
+        return True
 
     def contains(self, vec: Sequence[Fraction | int]) -> bool:
-        probe = RowSpace(self.ncols)
-        probe._rows = [list(r) for r in self._rows]
-        probe._pivots = list(self._pivots)
-        return not probe.add(vec)
+        return not any(self._reduce(vec))
 
     def basis(self) -> list[tuple[Fraction, ...]]:
         """Canonical rref basis of the span."""

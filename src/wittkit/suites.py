@@ -288,25 +288,6 @@ def _suite_linalg(rng: random.Random) -> Iterator[CheckResult]:
     yield CheckResult("linalg.deterministic", True)
     yield CheckResult("linalg.solve-exact", True)
 
-    if linalg._elim_c is not None:
-        previous = linalg._ENGINE
-        mismatch = None
-        try:
-            for trial in range(60):
-                m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-                linalg.set_engine("compiled")
-                rc, kc = linalg.rref(m), linalg.kernel(m)
-                linalg.set_engine("pure")
-                rp, kp = linalg.rref(m), linalg.kernel(m)
-                if rc != rp or kc != kp:
-                    mismatch = f"trial {trial}"
-                    break
-        finally:
-            linalg.set_engine(previous)
-        yield CheckResult("linalg.engine-parity", mismatch is None, mismatch or "")
-    else:
-        yield CheckResult("linalg.engine-parity", True, "compiled engine not built; pure only")
-
 
 def _window_span(max_var: int, lo: int, hi: int) -> SubspaceSpec:
     return SubspaceSpec.span_window(TruncationWindow(max_var, lo, hi, "strict"))

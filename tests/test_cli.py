@@ -160,14 +160,6 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "coeff" in obj["error"]["path"]
 
 
-def test_engine_flag(capsys):
-    code, out, _ = run(capsys, "--engine", "pure", "bracket", "d1", "x1 d2")
-    assert code == 0 and out.strip() == "d2"
-    import wittkit.linalg as linalg
-
-    linalg.set_engine("auto")
-
-
 def test_verify_failure_exits_1_with_counterexample(capsys, monkeypatch):
     from wittkit.suites import CheckResult
     import wittkit.suites as suites_mod

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from wittkit import linalg
 from wittkit.derivations import (
     ClosureViolation,
     DerivationSpec,
@@ -427,27 +426,3 @@ def test_scan_propagates_failures_with_n():
         stabilization_scan("solve-inner", [2, 3], from_field=w, generators="L", degree_max=2)
     assert err.value.n == 2
 
-
-# -- engine parity at the operation level --------------------------------------
-
-
-@pytest.mark.skipif(linalg._elim_c is None, reason="compiled engine not built")
-def test_operations_identical_across_engines():
-    previous = linalg._ENGINE
-    w = term(2, x1=2) + term(1, x2=1)
-    try:
-        linalg.set_engine("compiled")
-        out_c = (
-            centralizer(sl_basis(3), span(4, -1, 1)),
-            h1_dimension(2, span(3, 0, 0)),
-            solve_inner(DerivationSpec.from_ad(w, L_basis(2)), span(2, -1, 2)),
-        )
-        linalg.set_engine("pure")
-        out_p = (
-            centralizer(sl_basis(3), span(4, -1, 1)),
-            h1_dimension(2, span(3, 0, 0)),
-            solve_inner(DerivationSpec.from_ad(w, L_basis(2)), span(2, -1, 2)),
-        )
-        assert out_c == out_p
-    finally:
-        linalg.set_engine(previous)

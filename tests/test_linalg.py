@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wittkit import linalg
 from wittkit.linalg import RationalMatrix, RowSpace, kernel, rank, rref, solve, solve_many
 
 
@@ -119,37 +118,10 @@ def test_solve_many_shares_results():
     assert batch == singles
 
 
-@pytest.mark.skipif(linalg._elim_c is None, reason="compiled engine not built")
-def test_engine_parity_bit_for_bit():
-    rng = random.Random(426)
-    previous = linalg._ENGINE
-    try:
-        for _ in range(80):
-            m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-            b = [Fraction(rng.randint(-5, 5)) for _ in range(m.rows)]
-            linalg.set_engine("compiled")
-            out_c = (rref(m), kernel(m), solve(m, b))
-            linalg.set_engine("pure")
-            out_p = (rref(m), kernel(m), solve(m, b))
-            assert out_c == out_p
-    finally:
-        linalg.set_engine(previous)
-
-
-@pytest.mark.skipif(linalg._elim_c is None, reason="compiled engine not built")
-def test_compiled_overflow_falls_back():
-    # entries far beyond int64 must silently use the pure engine
+def test_big_integer_entries():
+    # entries far beyond 64 bits stay exact
     big = 10**40
-    m = RationalMatrix.from_rows([[big, 1], [1, big]])
-    previous = linalg._ENGINE
-    try:
-        linalg.set_engine("compiled")
-        res_c = rref(m)
-        linalg.set_engine("pure")
-        res_p = rref(m)
-        assert res_c == res_p == RationalMatrix.identity(2)
-    finally:
-        linalg.set_engine(previous)
+    assert rref(RationalMatrix.from_rows([[big, 1], [1, big]])) == RationalMatrix.identity(2)
 
 
 def test_rowspace_membership():
@@ -164,6 +136,67 @@ def test_rowspace_membership():
     assert basis == [(1, 0, 1), (0, 1, 1)]
 
 
-def test_set_engine_validation():
-    with pytest.raises(ValueError):
-        linalg.set_engine("fastest")
+def random_vectors(rng, ncols, count):
+    """Seeded vectors mixing zero, duplicate, dependent, Fraction and huge ones."""
+    out = []
+    for _ in range(count):
+        kind = rng.randrange(6)
+        if kind == 0:
+            vec = [0] * ncols
+        elif kind == 1 and out:
+            vec = list(rng.choice(out))
+        elif kind == 2 and len(out) >= 2:
+            a, b = rng.sample(out, 2)
+            s, t = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), rng.randint(-3, 3)
+            vec = [s * x + t * y for x, y in zip(a, b)]
+        elif kind == 3:
+            vec = [rng.choice((0, 1, -1)) * rng.randint(10**40, 10**45) for _ in range(ncols)]
+        elif kind == 4:
+            vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(ncols)]
+        else:
+            vec = [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(ncols)]
+        out.append(vec)
+    return out
+
+
+def nonzero_rref_rows(vectors):
+    reduced = rref(RationalMatrix.from_rows(vectors))
+    return [reduced.row(i) for i in range(reduced.rows) if any(reduced.row(i))]
+
+
+def test_rowspace_matches_one_shot_rref():
+    rng = random.Random(427)
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        vectors = random_vectors(rng, ncols, rng.randint(1, 12))
+        space = RowSpace(ncols)
+        rank_before = 0
+        for k, vec in enumerate(vectors):
+            grew = space.add(vec)
+            expected = nonzero_rref_rows(vectors[: k + 1])
+            assert grew == (len(expected) > rank_before)
+            assert space.rank == len(expected)
+            assert space.basis() == expected
+            rank_before = len(expected)
+        assert all(space.contains(vec) for vec in vectors)
+        probe = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(ncols)]
+        assert space.contains(probe) == (len(nonzero_rref_rows(vectors + [probe])) == space.rank)
+        shuffled = vectors[:]
+        rng.shuffle(shuffled)
+        other = RowSpace(ncols)
+        for vec in shuffled:
+            other.add(vec)
+        assert other.basis() == space.basis()
+
+
+def test_rowspace_matches_sympy():
+    rng = random.Random(428)
+    for _ in range(40):
+        ncols = rng.randint(1, 5)
+        vectors = random_vectors(rng, ncols, rng.randint(1, 6))
+        space = RowSpace(ncols)
+        for vec in vectors:
+            space.add(vec)
+        theirs, _ = sympy.Matrix([[sympy.Rational(v) for v in vec] for vec in vectors]).rref()
+        theirs = [row for row in theirs.tolist() if any(row)]
+        assert [[sympy.Rational(v) for v in row] for row in space.basis()] == theirs
