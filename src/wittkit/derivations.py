@@ -3,12 +3,12 @@ truncated modules, and reconstruction of the inner element realizing a
 derivation given on a generating set.
 
 All computations reduce to exact rational linear algebra over the canonical
-term basis of a truncation window.  Generator actions that shift degree
-uniformly (the standard families do: linear fields have degree 0 and the
-coordinate directions degree -1) split every stacked system into independent
-degree blocks, which are solved separately; since the reduced row echelon
-form is unique, the assembled answer is identical to the one-big-matrix
-computation, just much cheaper.
+term basis of a truncation window.  Every stacked system (centralizer, H^1
+cocycles and coboundaries, inner reconstruction) is built once as sparse
+labelled rows and solved by ``linalg.solve_sparse``, which splits it into
+blocks of connected columns; since the reduced row echelon form is unique,
+the answer is identical to the one-big-matrix computation, just much
+cheaper, whatever the window or the generators.
 
 Strictness follows the ambient window's mode: with a ``strict`` window a
 bracket or value that leaves the window raises ClosureViolation /
@@ -172,87 +172,32 @@ class SubspaceSpec:
 # -- stacked action systems --------------------------------------------------
 
 
-@dataclass
-class _Block:
-    """One degree slice of a stacked action system."""
-
-    cols: list[int]                 # global column indices (search basis positions)
-    row_labels: list[tuple[int, Term]]   # (generator index, codomain term)
-    rows: list[list[Fraction]]
+Label = tuple[int, Term]   # (generator index, codomain term) naming one equation
 
 
-def _generator_degrees(gens: Sequence[VectorField]) -> list[tuple[int, int]] | None:
-    """Per-generator homogeneous degree as (deg, deg); None if any is mixed."""
-    out = []
-    for g in gens:
-        d = g.degree()
-        if d is None:
-            return None
-        out.append((d, d))
-    return out
-
-
-def _stacked_blocks(
+def _stacked_rows(
     gens: Sequence[VectorField],
     search: SubspaceSpec,
     codomain_window: TruncationWindow,
-) -> list[_Block]:
-    """Build the matrix of w -> ([g_1, w], ..., [g_k, w]) over the search basis,
-    split into independent degree blocks when the generators are homogeneous."""
-    terms = search.terms()
-    degrees = _generator_degrees(gens)
-    blockable = search.is_full_window and degrees is not None
-
-    if blockable:
-        groups: dict[int, list[int]] = {}
-        for col, (mono, _) in enumerate(terms):
-            groups.setdefault(mono.length() - 1, []).append(col)
-        block_keys = sorted(groups)
-    else:
-        groups = {0: list(range(search.dim))}
-        block_keys = [0]
-
-    blocks = []
-    for key in block_keys:
-        cols = groups[key]
-        entries: dict[tuple[int, Term], dict[int, Fraction]] = {}
-        for local, col in enumerate(cols):
-            base = search.basis[col]
-            for a, g in enumerate(gens):
-                image = g.bracket(base)
-                for mono, direction, coeff in image.terms():
-                    if not codomain_window.contains_term(mono, direction):
-                        if codomain_window.mode == "strict":
-                            raise ClosureViolation(
-                                f"bracket image term {format_term(mono, direction)} escapes "
-                                f"the codomain window (max_var={codomain_window.max_var}, "
-                                f"degrees {codomain_window.degree_min}..{codomain_window.degree_max})",
-                                mono,
-                                direction,
-                            )
-                        continue
-                    entries.setdefault((a, (mono, direction)), {})[local] = coeff
-        labels = sorted(entries, key=lambda lab: (lab[0], _term_key(lab[1])))
-        rows = []
-        for lab in labels:
-            row = [Fraction(0)] * len(cols)
-            for local, coeff in entries[lab].items():
-                row[local] = coeff
-            rows.append(row)
-        blocks.append(_Block(cols, labels, rows))
-    return blocks
-
-
-def _assemble_kernel(blocks: list[_Block], total_cols: int, search: SubspaceSpec) -> list[VectorField]:
-    out = []
-    for block in blocks:
-        m = RationalMatrix.from_rows(block.rows) if block.rows else RationalMatrix.zero(0, len(block.cols))
-        for vec in linalg.kernel(m):
-            full = [Fraction(0)] * total_cols
-            for local, col in enumerate(block.cols):
-                full[col] = vec[local]
-            out.append(search.field_from_coords(full))
-    return out
+) -> dict[Label, dict[int, Fraction]]:
+    """Sparse rows of w -> ([g_1, w], ..., [g_k, w]) over the search basis,
+    keyed by label; each row maps search basis positions to coefficients."""
+    rows: dict[Label, dict[int, Fraction]] = {}
+    for col, base in enumerate(search.basis):
+        for a, g in enumerate(gens):
+            for mono, direction, coeff in g.bracket(base).terms():
+                if not codomain_window.contains_term(mono, direction):
+                    if codomain_window.mode == "strict":
+                        raise ClosureViolation(
+                            f"bracket image term {format_term(mono, direction)} escapes "
+                            f"the codomain window (max_var={codomain_window.max_var}, "
+                            f"degrees {codomain_window.degree_min}..{codomain_window.degree_max})",
+                            mono,
+                            direction,
+                        )
+                    continue
+                rows.setdefault((a, (mono, direction)), {})[col] = coeff
+    return rows
 
 
 def ad_matrix(w: VectorField, domain: SubspaceSpec, codomain: SubspaceSpec) -> RationalMatrix:
@@ -271,8 +216,9 @@ def ad_matrix(w: VectorField, domain: SubspaceSpec, codomain: SubspaceSpec) -> R
     )
 
 
-def _action_matrix(g: VectorField, module: SubspaceSpec) -> RationalMatrix:
-    """Matrix of the module action m -> [g, m] in the module basis."""
+def _action_columns(g: VectorField, module: SubspaceSpec) -> list[dict[int, Fraction]]:
+    """The module action m -> [g, m]: per module basis element, the nonzero
+    module coordinates of its image."""
     images = [g.bracket(b) for b in module.basis]
     if module.window.mode == "project":
         images = [truncate(im, module.window) for im in images]
@@ -282,9 +228,7 @@ def _action_matrix(g: VectorField, module: SubspaceSpec) -> RationalMatrix:
         raise ClosureViolation(
             f"module action escapes the module: {exc}", exc.mono, exc.direction
         ) from exc
-    return RationalMatrix.from_rows(
-        [[cols[b][t] for b in range(module.dim)] for t in range(module.dim)]
-    )
+    return [{r: v for r, v in enumerate(col) if v} for col in cols]
 
 
 def centralizer(actors: Sequence[VectorField], ambient: SubspaceSpec) -> list[VectorField]:
@@ -295,9 +239,9 @@ def centralizer(actors: Sequence[VectorField], ambient: SubspaceSpec) -> list[Ve
     basis element, so returned elements commute with the actors exactly even
     when the actors shift degrees out of the ambient window.
     """
-    codomain = _derived_codomain(actors, ambient)
-    blocks = _stacked_blocks(actors, ambient, codomain)
-    return _assemble_kernel(blocks, ambient.dim, ambient)
+    rows = _stacked_rows(actors, ambient, _derived_codomain(actors, ambient))
+    outcome = linalg.solve_sparse(list(rows.values()), ambient.dim)
+    return [ambient.field_from_coords(vec) for vec in outcome.kernel_basis]
 
 
 def submodule_closure(v: VectorField, n: int, ambient: SubspaceSpec) -> list[VectorField]:
@@ -364,8 +308,8 @@ def h1_report(n: int, module: SubspaceSpec, include_bases: bool = False) -> H1Re
     if M == 0:
         return H1Report(n, 0, 0, 0)
 
-    # module action matrices g.m = [g, m], columns indexed by module basis
-    acts = [_action_matrix(g, module) for g in gens]
+    # module action g.m = [g, m]: acts[k][t] holds the coordinates of g_k.m_t
+    acts = [_action_columns(g, module) for g in gens]
 
     # expand pairwise brackets over the generator basis (structure constants)
     deg0 = SubspaceSpec.span_window(TruncationWindow(max_var=n, degree_min=0, degree_max=0, mode="strict"))
@@ -377,51 +321,41 @@ def h1_report(n: int, module: SubspaceSpec, include_bases: bool = False) -> H1Re
     lambdas = linalg.solve_many(gen_matrix, bracket_coords)
 
     # cocycle condition: c([a,b]) - a.c(b) + b.c(a) = 0, unknowns c(g_k) stacked
-    z_rows: list[list[Fraction]] = []
+    z_rows: list[dict[int, Fraction]] = []
     for (p, q), lam in zip(pairs, lambdas):
-        coeffs = lam.particular
-        block = [[Fraction(0)] * (G * M) for _ in range(M)]
-        for k in range(G):
-            if coeffs[k]:
+        block: list[dict[int, Fraction]] = [{} for _ in range(M)]
+        for k, c in enumerate(lam.particular):
+            if c:
                 for r in range(M):
-                    block[r][k * M + r] += coeffs[k]
-        for r in range(M):
-            row = block[r]
-            for t in range(M):
-                apt = acts[p].at(r, t)
-                if apt:
-                    row[q * M + t] -= apt
-                aqt = acts[q].at(r, t)
-                if aqt:
-                    row[p * M + t] += aqt
+                    block[r][k * M + r] = c
+        for t in range(M):
+            for r, v in acts[p][t].items():
+                block[r][q * M + t] = block[r].get(q * M + t, 0) - v
+            for r, v in acts[q][t].items():
+                block[r][p * M + t] = block[r].get(p * M + t, 0) + v
         z_rows.extend(block)
-    z_matrix = RationalMatrix.from_rows(z_rows) if z_rows else RationalMatrix.zero(0, G * M)
-    cocycles: tuple[tuple[Fraction, ...], ...] = ()
-    if include_bases:
-        cocycles = tuple(linalg.kernel(z_matrix))
-        z1 = len(cocycles)
-    else:
-        z1 = G * M - linalg.rank(z_matrix)
+    cocycles = linalg.solve_sparse(z_rows, G * M).kernel_basis
 
-    # coboundaries: w -> (g_k -> [g_k, w]) stacked the same way
-    b_rows = [
-        [acts[k].at(r, t) for t in range(M)]
-        for k in range(G)
-        for r in range(M)
-    ]
-    b_matrix = RationalMatrix.from_rows(b_rows)
-    b1 = linalg.rank(b_matrix)
-    boundaries: tuple[tuple[Fraction, ...], ...] = ()
-    if include_bases:
-        boundaries = tuple(
-            tuple(b_matrix.at(r, t) for r in range(G * M)) for t in range(M)
-        )
-    return H1Report(n, M, z1, b1, cocycles, boundaries)
+    # coboundaries: w -> (g_k -> [g_k, w]), row k*M + r holding coordinate r of g_k.w
+    b_rows: list[dict[int, Fraction]] = [{} for _ in range(G * M)]
+    for k in range(G):
+        for t in range(M):
+            for r, v in acts[k][t].items():
+                b_rows[k * M + r][t] = v
+    b1 = M - len(linalg.solve_sparse(b_rows, M).kernel_basis)
+    if not include_bases:
+        return H1Report(n, M, len(cocycles), b1)
+    boundaries = tuple(
+        tuple(act[t].get(r, Fraction(0)) for act in acts for r in range(M)) for t in range(M)
+    )
+    return H1Report(n, M, len(cocycles), b1, cocycles, boundaries)
 
 
 @dataclass(frozen=True)
 class InnerObstruction:
-    """Unsatisfiable coordinate in an inner-element reconstruction."""
+    """Unsatisfiable coordinate in an inner-element reconstruction: the first
+    equation, ordered by generator and then by term, at which the equations
+    so far have no solution."""
 
     generator_index: int
     mono: Monomial
@@ -440,7 +374,8 @@ class InnerSolveResult:
 
     kind is 'unique', 'underdetermined' (field is the canonical particular
     solution, kernel spans the ambiguity - the centralizer of the generators
-    in the search space) or 'inconsistent' (certificate set, field None).
+    in the search space) or 'inconsistent' (certificate names the first
+    unsolvable equation, field None).
     """
 
     kind: str
@@ -561,10 +496,11 @@ def solve_inner(
     """
     gens = spec.generators
     window = codomain or _derived_codomain(gens, search)
-    blocks = _stacked_blocks(gens, search, window)
+    rows = _stacked_rows(gens, search, window)
 
-    # right-hand side: coordinates of the prescribed values, block by block
-    remaining: dict[tuple[int, Term], Fraction] = {}
+    # right-hand side: coordinates of the prescribed values; a value no search
+    # element reaches gets a row with no entries
+    rhs: dict[Label, Fraction] = {}
     for a, value in enumerate(spec.values):
         for mono, direction, coeff in value.terms():
             if not window.contains_term(mono, direction):
@@ -576,53 +512,18 @@ def solve_inner(
                         direction,
                     )
                 continue
-            remaining[(a, (mono, direction))] = coeff
+            rhs[(a, (mono, direction))] = coeff
+            rows.setdefault((a, (mono, direction)), {})
 
-    kernel_fields: list[VectorField] = []
-    particular = [Fraction(0)] * search.dim
-    obstruction: InnerObstruction | None = None
-
-    for block in blocks:
-        labels = list(block.row_labels)
-        rows = [list(r) for r in block.rows]
-        rhs = []
-        for lab in labels:
-            rhs.append(remaining.pop(lab, Fraction(0)))
-        m = RationalMatrix.from_rows(rows) if rows else RationalMatrix.zero(0, len(block.cols))
-        outcome = linalg.solve(m, rhs)
-        for vec in outcome.kernel_basis:
-            full = [Fraction(0)] * search.dim
-            for local, col in enumerate(block.cols):
-                full[col] = vec[local]
-            kernel_fields.append(search.field_from_coords(full))
-        if outcome.kind == "inconsistent":
-            a, (mono, direction) = labels[outcome.bad_row]
-            cand = InnerObstruction(a, mono, direction)
-            if obstruction is None or _obstruction_key(cand) < _obstruction_key(obstruction):
-                obstruction = cand
-        elif outcome.particular is not None:
-            for local, col in enumerate(block.cols):
-                particular[col] = outcome.particular[local]
-
-    # prescribed values at coordinates no search element can reach
-    for (a, (mono, direction)), coeff in sorted(
-        remaining.items(), key=lambda kv: (kv[0][0], _term_key(kv[0][1]))
-    ):
-        if coeff:
-            cand = InnerObstruction(a, mono, direction)
-            if obstruction is None or _obstruction_key(cand) < _obstruction_key(obstruction):
-                obstruction = cand
-
-    if obstruction is not None:
-        return InnerSolveResult("inconsistent", None, tuple(kernel_fields), obstruction)
-    field = search.field_from_coords(particular)
-    if kernel_fields:
-        return InnerSolveResult("underdetermined", field, tuple(kernel_fields))
-    return InnerSolveResult("unique", field, ())
-
-
-def _obstruction_key(o: InnerObstruction) -> tuple:
-    return (o.generator_index, _term_key((o.mono, o.direction)))
+    labels = sorted(rows, key=lambda lab: (lab[0], _term_key(lab[1])))
+    outcome = linalg.solve_sparse(
+        [rows[lab] for lab in labels], search.dim, [rhs.get(lab, 0) for lab in labels]
+    )
+    kernel = tuple(search.field_from_coords(vec) for vec in outcome.kernel_basis)
+    if outcome.kind == "inconsistent":
+        a, (mono, direction) = labels[outcome.bad_row]
+        return InnerSolveResult("inconsistent", None, kernel, InnerObstruction(a, mono, direction))
+    return InnerSolveResult(outcome.kind, search.field_from_coords(outcome.particular), kernel)
 
 
 def verify_bracket_identities(w: VectorField, i: int, j: int) -> bool:

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything reduces to one integer Gauss-Jordan elimination primitive,
 ``wittkit._elim_py.eliminate``, which works on Python ints of arbitrary
@@ -10,6 +10,12 @@ before elimination; pivot rows are divided back by their pivot entry when
 results are read off.  Pivots are chosen deterministically: leftmost
 nonzero column, first available row.  ``RowSpace`` keeps the same integer
 rref incrementally, reducing each new vector against the rows it holds.
+
+``solve`` works on a dense ``RationalMatrix``.  ``solve_sparse`` takes rows
+as ``{column: coefficient}`` maps, splits the columns into connected blocks
+and solves each block densely; since the rref of a block-diagonal system is
+the union of the blocks' rrefs, it returns exactly what ``solve`` returns on
+the densified system.
 """
 
 from __future__ import annotations
@@ -94,8 +100,9 @@ class SolveOutcome:
     kind is 'unique', 'underdetermined', or 'inconsistent'.  ``particular``
     is present unless inconsistent; ``kernel_basis`` is the canonical
     nullspace basis of M (empty when the solution is unique).  For an
-    inconsistent system ``bad_row`` is the index of the first equation the
-    candidate solution fails to satisfy.
+    inconsistent system ``bad_row`` is the first index i for which equations
+    0..i alone have no solution; it depends only on the system and the
+    order of its equations.
     """
 
     kind: str
@@ -202,30 +209,108 @@ def solve_many(m: RationalMatrix, bs: Sequence[Sequence[Fraction | int]]) -> lis
     int_rows = _dedupe_nonzero(_int_rows(m_rows, cols))
     pivots = _elim_py.eliminate(int_rows, m.cols)
     kernel_basis = tuple(_kernel_from_reduced(int_rows, pivots, m.cols))
+    zero_rows = int_rows[len(pivots):]  # zero on every column of M
     outcomes = []
     for j, b in enumerate(cols):
+        if any(row[m.cols + j] for row in zero_rows):
+            bad = _first_inconsistent_row(m_rows, b, m.cols)
+            outcomes.append(SolveOutcome("inconsistent", None, kernel_basis, bad))
+            continue
         x = [Fraction(0)] * m.cols
         for k, c in enumerate(pivots):
             x[c] = Fraction(int_rows[k][m.cols + j], int_rows[k][c])
-        bad = _first_residual(m_rows, x, b)
-        if bad is not None:
-            outcomes.append(SolveOutcome("inconsistent", None, kernel_basis, bad))
-        elif kernel_basis:
+        if kernel_basis:
             outcomes.append(SolveOutcome("underdetermined", tuple(x), kernel_basis))
         else:
             outcomes.append(SolveOutcome("unique", tuple(x), ()))
     return outcomes
 
 
-def _first_residual(m_rows: list[list[Fraction]], x: list[Fraction], b: list[Fraction]) -> int | None:
-    for i, row in enumerate(m_rows):
-        acc = Fraction(0)
-        for a, v in zip(row, x):
-            if a and v:
-                acc += a * v
-        if acc != b[i]:
+def _first_inconsistent_row(m_rows: list[list[Fraction]], b: list[Fraction], ncols: int) -> int:
+    """The first i for which rows 0..i with their right-hand sides have no
+    solution: the first augmented row whose reduction pivots on the rhs."""
+    space = RowSpace(ncols + 1)
+    for i, (row, v) in enumerate(zip(m_rows, b)):
+        if space.add([*row, v]) and space._pivots[-1] == ncols:
             return i
-    return None
+    raise ValueError("the system is consistent")
+
+
+def solve_sparse(
+    rows: Sequence[dict[int, Fraction | int]],
+    ncols: int,
+    rhs: Sequence[Fraction | int] | None = None,
+) -> SolveOutcome:
+    """Solve a system given by sparse rows ``{column: coefficient}``.
+
+    Two columns share a block when some row has nonzero entries in both.
+    Each block is solved by ``solve`` with its columns in global order, and
+    the results are scattered back, kernel vectors listed by global free
+    column.  The outcome equals ``solve`` on the densified system, with
+    ``rhs`` defaulting to zero.
+    """
+    for row in rows:
+        if any(not 0 <= c < ncols for c in row):
+            raise ValueError(f"row {row} has a column outside 0..{ncols - 1}")
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
+    rhs = [Fraction(0)] * len(rows) if rhs is None else [Fraction(v) for v in rhs]
+    if len(rhs) != len(rows):
+        raise ValueError(f"rhs length {len(rhs)} != rows {len(rows)}")
+    parent = list(range(ncols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        cols = list(row)
+        for c in cols[1:]:
+            parent[find(c)] = find(cols[0])
+
+    block_cols: dict[int, list[int]] = {}
+    for c in range(ncols):
+        block_cols.setdefault(find(c), []).append(c)
+    block_rows: dict[int, list[int]] = {}
+    bad_rows = []  # an empty row with a nonzero rhs is unsolvable on its own
+    for i, row in enumerate(rows):
+        if row:
+            block_rows.setdefault(find(next(iter(row))), []).append(i)
+        elif rhs[i]:
+            bad_rows.append(i)
+
+    x = [Fraction(0)] * ncols
+    kernel_by_free: list[tuple[int, list[Fraction]]] = []
+    for root, cols in block_cols.items():
+        idx = block_rows.get(root, [])
+        local = {c: k for k, c in enumerate(cols)}
+        dense = []
+        for i in idx:
+            line = [0] * len(cols)
+            for c, v in rows[i].items():
+                line[local[c]] = v
+            dense.append(line)
+        m = RationalMatrix.from_rows(dense) if dense else RationalMatrix.zero(0, len(cols))
+        outcome = solve(m, [rhs[i] for i in idx])
+        if outcome.kind == "inconsistent":
+            bad_rows.append(idx[outcome.bad_row])
+        else:
+            for c, v in zip(cols, outcome.particular):
+                x[c] = v
+        for vec in outcome.kernel_basis:
+            # a kernel vector's last nonzero entry sits at its free column
+            free = max(k for k, v in enumerate(vec) if v)
+            full = [Fraction(0)] * ncols
+            for c, v in zip(cols, vec):
+                full[c] = v
+            kernel_by_free.append((cols[free], full))
+    kernel_basis = tuple(tuple(vec) for _, vec in sorted(kernel_by_free))
+    if bad_rows:
+        return SolveOutcome("inconsistent", None, kernel_basis, min(bad_rows))
+    if kernel_basis:
+        return SolveOutcome("underdetermined", tuple(x), kernel_basis)
+    return SolveOutcome("unique", tuple(x), ())
 
 
 def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:

@@ -28,8 +28,8 @@ from wittkit.fields import (
     euler,
     sl_basis,
 )
-from wittkit.linalg import RowSpace
-from wittkit.poly import Monomial, Polynomial
+from wittkit.linalg import RationalMatrix, RowSpace, solve
+from wittkit.poly import Monomial, Polynomial, grlex_key
 from wittkit.suites import random_field
 
 
@@ -223,6 +223,51 @@ def test_h1_report_invariants():
     assert all(space.contains(vec) for vec in report.coboundary_vectors)
 
 
+@pytest.mark.parametrize(
+    "n, module",
+    [
+        (2, span(2, 0, 0)),
+        (2, span(3, 1, 1)),
+        (3, span(3, 0, 0)),
+        (2, SubspaceSpec([euler(2)], TruncationWindow(2, 0, 0, "strict"))),
+    ],
+    ids=["sl2-deg0", "sl2-deg1-x3", "sl3-deg0", "sl2-euler-line"],
+)
+def test_h1_bases_satisfy_cocycle_identity(n, module):
+    # oracle: the generic bracket, and the generator expansion by the dense solve
+    gens = sl_basis(n)
+    M = module.dim
+    report = h1_report(n, module, include_bases=True)
+    gen_span = SubspaceSpec(gens, TruncationWindow(n, 0, 0, "strict"))
+    pairs = [(p, q) for p in range(len(gens)) for q in range(p + 1, len(gens))]
+    lams = {(p, q): gen_span.coords(gens[p].bracket(gens[q])) for p, q in pairs}
+
+    def is_cocycle(vec):
+        c = [module.field_from_coords(vec[k * M : (k + 1) * M]) for k in range(len(gens))]
+        for p, q in pairs:
+            lhs = VectorField.zero()
+            for lam, ck in zip(lams[(p, q)], c):
+                lhs = lhs + ck.scale(lam)
+            if lhs != gens[p].bracket(c[q]) - gens[q].bracket(c[p]):
+                return False
+        return True
+
+    assert len(report.cocycle_basis) == report.z1
+    assert len(report.coboundary_vectors) == M
+    assert all(is_cocycle(vec) for vec in report.cocycle_basis)
+    assert all(is_cocycle(vec) for vec in report.coboundary_vectors)
+    space = RowSpace(len(gens) * M)
+    for vec in report.cocycle_basis:
+        space.add(vec)
+    assert space.rank == report.z1
+    assert all(space.contains(vec) for vec in report.coboundary_vectors)
+    boundaries = RowSpace(len(gens) * M)
+    for vec in report.coboundary_vectors:
+        boundaries.add(vec)
+    assert boundaries.rank == report.b1
+    assert report.h1 == 0
+
+
 def test_h1_requires_module_closure():
     bad = SubspaceSpec([term(2, x1=1)], TruncationWindow(2, 0, 0, "strict"))
     with pytest.raises(ClosureViolation):
@@ -319,6 +364,43 @@ def test_solve_inner_inconsistency_certificate():
     assert result.field is None
     assert result.certificate is not None
     assert result.certificate.generator_index == 0
+
+
+def obstructed_specs():
+    # d1 and d2 lie below the search window: values no search element reaches
+    yield DerivationSpec.from_ad(
+        VectorField.direction(1) + VectorField.direction(2).scale(3) + term(2, x1=2), L_basis(2)
+    ), span(3, 0, 2)
+    # the pair's bracket leaves the generator span, so any values validate;
+    # these fail in two separate parts of the system (at x1^3 d2 and x1^3 x2 d1)
+    gens = [VectorField.direction(1), term(2, x1=2)]
+    w = term(2, x1=1, x2=1) + term(1, x1=1, x2=2)
+    yield DerivationSpec(gens, [gens[0].bracket(w), VectorField.zero()]), span(2, -1, 2)
+
+
+@pytest.mark.parametrize("spec, search", list(obstructed_specs()), ids=["unreachable", "two-blocks"])
+def test_solve_inner_certificate_is_first_unsolvable_prefix(spec, search):
+    # oracle: the dense solve on prefixes of the equations in (generator, term) order
+    result = solve_inner(spec, search)
+    assert result.kind == "inconsistent"
+    cert = result.certificate
+
+    images = [[g.bracket(b) for b in search.basis] for g in spec.generators]
+    labels = {(a, (m, i)) for a, row in enumerate(images) for f in row for m, i, _ in f.terms()}
+    labels |= {(a, (m, i)) for a, v in enumerate(spec.values) for m, i, _ in v.terms()}
+    labels = sorted(labels, key=lambda lab: (lab[0], lab[1][0].length(), lab[1][1], grlex_key(lab[1][0])))
+    matrix = [[images[a][t].coeff(m, i) for t in range(search.dim)] for a, (m, i) in labels]
+    rhs = [spec.values[a].coeff(m, i) for a, (m, i) in labels]
+
+    def consistent(keep):
+        m = RationalMatrix.from_rows([matrix[i] for i in keep]) if keep else RationalMatrix.zero(0, search.dim)
+        return solve(m, [rhs[i] for i in keep]).kind != "inconsistent"
+
+    k = labels.index((cert.generator_index, (cert.mono, cert.direction)))
+    assert not consistent(range(k + 1))
+    assert consistent(range(k))
+    # a second obstruction remains without the certificate's equation
+    assert not consistent([i for i in range(len(labels)) if i != k])
 
 
 def test_solve_inner_value_outside_codomain_raises():

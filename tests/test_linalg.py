@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wittkit.linalg import RationalMatrix, RowSpace, kernel, rank, rref, solve, solve_many
+from wittkit.linalg import RationalMatrix, RowSpace, kernel, rank, rref, solve, solve_many, solve_sparse
 
 
 def rows_of(m):
@@ -200,3 +200,71 @@ def test_rowspace_matches_sympy():
         theirs, _ = sympy.Matrix([[sympy.Rational(v) for v in vec] for vec in vectors]).rref()
         theirs = [row for row in theirs.tolist() if any(row)]
         assert [[sympy.Rational(v) for v in row] for row in space.basis()] == theirs
+
+
+def densify(rows, ncols):
+    if not rows:
+        return RationalMatrix.zero(0, ncols)
+    return RationalMatrix.from_rows([[row.get(c, 0) for c in range(ncols)] for row in rows])
+
+
+def random_sparse_system(rng):
+    """Seeded sparse rows mixing empty, zero-valued, duplicate, Fraction and
+    huge entries, over columns some of which no row touches."""
+    ncols = rng.randint(0, 9)
+    rows, rhs = [], []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.randrange(8)
+        if kind == 0 or not ncols:
+            row = {}
+        elif kind == 1 and rows:
+            row = dict(rng.choice(rows))
+        else:
+            row = {}
+            for c in rng.sample(range(ncols), rng.randint(1, min(3, ncols))):
+                pick = rng.randrange(6)
+                if pick == 0:
+                    row[c] = 0
+                elif pick == 1:
+                    row[c] = rng.choice((1, -1)) * rng.randint(10**40, 10**45)
+                else:
+                    row[c] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        rows.append(row)
+        rhs.append(rng.choice((0, 0, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))))
+    return rows, ncols, rhs
+
+
+def test_solve_sparse_matches_dense_solve():
+    rng = random.Random(429)
+    kinds = {"unique": 0, "underdetermined": 0, "inconsistent": 0}
+    for _ in range(1000):
+        rows, ncols, rhs = random_sparse_system(rng)
+        dense = densify(rows, ncols)
+        assert solve_sparse(rows, ncols) == solve(dense, [0] * len(rows))
+        ours = solve_sparse(rows, ncols, rhs)
+        assert ours == solve(dense, rhs)
+        kinds[ours.kind] += 1
+        if ours.kind == "inconsistent":
+            # bad_row is the first prefix of equations with no solution
+            for i in range(ours.bad_row + 1):
+                prefix = solve(densify(rows[: i + 1], ncols), rhs[: i + 1])
+                assert (prefix.kind == "inconsistent") == (i == ours.bad_row)
+    assert min(kinds.values()) >= 60
+
+
+def test_solve_bad_row_does_not_depend_on_pivoting():
+    # rows 0 and 2 fix x4 to different values; row 0 alone is solvable
+    rows = [{4: Fraction(2, 3)}, {1: 5, 2: Fraction(3, 2)}, {4: Fraction(-3, 2)},
+            {4: Fraction(-5, 3)}, {3: Fraction(-1, 2)}]
+    rhs = [1, -1, -2, 2, 1]
+    assert solve(densify(rows, 5), rhs).bad_row == 2
+    assert solve_sparse(rows, 5, rhs).bad_row == 2
+    assert solve_sparse([{}, {0: 1}, {0: 1}], 1, [0, 1, 2]).bad_row == 2
+    assert solve_sparse([{0: 1}, {}, {0: 2}], 1, [1, 3, 1]).bad_row == 1
+
+
+def test_solve_sparse_shape_checks():
+    with pytest.raises(ValueError):
+        solve_sparse([{0: 1}], 1, [1, 2])
+    with pytest.raises(ValueError):
+        solve_sparse([{2: 1}], 2)
