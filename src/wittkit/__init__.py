@@ -5,8 +5,9 @@ Core layers:
   poly         exact sparse polynomials over the rationals
   fields       vector fields, the Lie bracket, gradings, truncation windows,
                and the standard generator families
-  linalg       exact rational linear algebra, dense and block-sparse, on
-               one pure-Python integer Gauss-Jordan elimination
+  linalg       exact rational linear algebra: dense integer Gauss-Jordan
+               elimination, and an incremental sparse rref that solves
+               the stacked sparse systems
   derivations  centralizers, submodule closures, first cohomology of
                truncated modules, inner-element reconstruction,
                stabilization scans

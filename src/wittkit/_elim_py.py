@@ -1,4 +1,4 @@
-"""Integer Gauss-Jordan elimination: wittkit's one elimination engine.
+"""Integer Gauss-Jordan elimination over dense rows.
 
 Rows are lists of Python ints (arbitrary precision, so no entry can
 overflow).  ``eliminate`` reduces in place over the first ``pivot_limit``
@@ -14,7 +14,8 @@ Conventions:
 After the call, rows[k] is the row with pivot column pivots[k] for
 k < len(pivots); remaining rows are zero on all pivot-eligible columns.
 Dividing each pivot row by its pivot entry yields the (unique) reduced row
-echelon form, so results are canonical.
+echelon form, so results are canonical.  ``linalg.RowSpace`` calls it on
+a single row to normalise a new pivot row.
 """
 
 from __future__ import annotations

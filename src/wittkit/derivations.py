@@ -5,10 +5,10 @@ derivation given on a generating set.
 All computations reduce to exact rational linear algebra over the canonical
 term basis of a truncation window.  Every stacked system (centralizer, H^1
 cocycles and coboundaries, inner reconstruction) is built once as sparse
-labelled rows and solved by ``linalg.solve_sparse``, which splits it into
-blocks of connected columns; since the reduced row echelon form is unique,
-the answer is identical to the one-big-matrix computation, just much
-cheaper, whatever the window or the generators.
+labelled rows and solved by ``linalg.solve_sparse``, which reduces the rows
+one at a time into a sparse rref; since the reduced row echelon form is
+unique, the answer is identical to the one-big-matrix computation, just
+much cheaper, whatever the window or the generators.
 
 Strictness follows the ambient window's mode: with a ``strict`` window a
 bracket or value that leaves the window raises ClosureViolation /

@@ -1,30 +1,27 @@
 """Exact linear algebra over the rationals.
 
-Everything reduces to one integer Gauss-Jordan elimination primitive,
-``wittkit._elim_py.eliminate``, which works on Python ints of arbitrary
-precision.  Results are canonical: the reduced row echelon form is unique
-and kernel bases follow the rref free-column convention.
+Results are canonical: the reduced row echelon form is unique and kernel
+bases follow the rref free-column convention.  Rational rows are scaled to
+integers (by the lcm of the denominators) before elimination; pivot rows
+are divided back by their pivot entry when results are read off.
 
-Rational rows are scaled to integers (by the lcm of the denominators)
-before elimination; pivot rows are divided back by their pivot entry when
-results are read off.  Pivots are chosen deterministically: leftmost
-nonzero column, first available row.  ``RowSpace`` keeps the same integer
-rref incrementally, reducing each new vector against the rows it holds.
-
-``solve`` works on a dense ``RationalMatrix``.  ``solve_sparse`` takes rows
-as ``{column: coefficient}`` maps, splits the columns into connected blocks
-and solves each block densely; since the rref of a block-diagonal system is
-the union of the blocks' rrefs, it returns exactly what ``solve`` returns on
-the densified system.
+The dense functions (``rref``, ``rank``, ``kernel``, ``solve``,
+``solve_many``) work on a ``RationalMatrix`` with the integer Gauss-Jordan
+primitive ``wittkit._elim_py.eliminate``; pivots are chosen
+deterministically, leftmost nonzero column, first available row.
+``RowSpace`` keeps the same integer rref as sparse rows, reducing each new
+vector against the rows it holds.  ``solve_sparse`` takes rows as
+``{column: coefficient}`` maps and adds them, right-hand side appended, to
+one ``RowSpace``; it returns exactly what ``solve`` returns on the
+densified system.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 from . import _elim_py
 
@@ -231,7 +228,7 @@ def _first_inconsistent_row(m_rows: list[list[Fraction]], b: list[Fraction], nco
     solution: the first augmented row whose reduction pivots on the rhs."""
     space = RowSpace(ncols + 1)
     for i, (row, v) in enumerate(zip(m_rows, b)):
-        if space.add([*row, v]) and space._pivots[-1] == ncols:
+        if space.add([*row, v]) and ncols in space._rows:
             return i
     raise ValueError("the system is consistent")
 
@@ -243,136 +240,129 @@ def solve_sparse(
 ) -> SolveOutcome:
     """Solve a system given by sparse rows ``{column: coefficient}``.
 
-    Two columns share a block when some row has nonzero entries in both.
-    Each block is solved by ``solve`` with its columns in global order, and
-    the results are scattered back, kernel vectors listed by global free
-    column.  The outcome equals ``solve`` on the densified system, with
-    ``rhs`` defaulting to zero.
+    Each row, with its right-hand side as column ``ncols``, is added to one
+    ``RowSpace`` in order, and the outcome is read off its rref.  The
+    outcome equals ``solve`` on the densified system, with ``rhs``
+    defaulting to zero.
     """
     for row in rows:
         if any(not 0 <= c < ncols for c in row):
             raise ValueError(f"row {row} has a column outside 0..{ncols - 1}")
-    rows = [{c: v for c, v in row.items() if v} for row in rows]
-    rhs = [Fraction(0)] * len(rows) if rhs is None else [Fraction(v) for v in rhs]
+    rhs = [0] * len(rows) if rhs is None else rhs
     if len(rhs) != len(rows):
         raise ValueError(f"rhs length {len(rhs)} != rows {len(rows)}")
-    parent = list(range(ncols))
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for row in rows:
-        cols = list(row)
-        for c in cols[1:]:
-            parent[find(c)] = find(cols[0])
-
-    block_cols: dict[int, list[int]] = {}
-    for c in range(ncols):
-        block_cols.setdefault(find(c), []).append(c)
-    block_rows: dict[int, list[int]] = {}
-    bad_rows = []  # an empty row with a nonzero rhs is unsolvable on its own
-    for i, row in enumerate(rows):
-        if row:
-            block_rows.setdefault(find(next(iter(row))), []).append(i)
-        elif rhs[i]:
-            bad_rows.append(i)
-
+    space = RowSpace(ncols + 1)
+    bad_row = None
+    for i, (row, v) in enumerate(zip(rows, rhs)):
+        if space.add({**row, ncols: v}) and bad_row is None and ncols in space._rows:
+            bad_row = i
     x = [Fraction(0)] * ncols
-    kernel_by_free: list[tuple[int, list[Fraction]]] = []
-    for root, cols in block_cols.items():
-        idx = block_rows.get(root, [])
-        local = {c: k for k, c in enumerate(cols)}
-        dense = []
-        for i in idx:
-            line = [0] * len(cols)
-            for c, v in rows[i].items():
-                line[local[c]] = v
-            dense.append(line)
-        m = RationalMatrix.from_rows(dense) if dense else RationalMatrix.zero(0, len(cols))
-        outcome = solve(m, [rhs[i] for i in idx])
-        if outcome.kind == "inconsistent":
-            bad_rows.append(idx[outcome.bad_row])
-        else:
-            for c, v in zip(cols, outcome.particular):
-                x[c] = v
-        for vec in outcome.kernel_basis:
-            # a kernel vector's last nonzero entry sits at its free column
-            free = max(k for k, v in enumerate(vec) if v)
-            full = [Fraction(0)] * ncols
-            for c, v in zip(cols, vec):
-                full[c] = v
-            kernel_by_free.append((cols[free], full))
-    kernel_basis = tuple(tuple(vec) for _, vec in sorted(kernel_by_free))
-    if bad_rows:
-        return SolveOutcome("inconsistent", None, kernel_basis, min(bad_rows))
+    kernel_by_free = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in space._rows}
+    for c, row in space._rows.items():
+        if c == ncols:
+            continue
+        pv = row[c]
+        x[c] = Fraction(row.get(ncols, 0), pv)
+        # every other matrix column of a pivot row is a free column
+        for f, a in row.items():
+            if f != c and f != ncols:
+                kernel_by_free[f][c] = Fraction(-a, pv)
+    for f, vec in kernel_by_free.items():
+        vec[f] = Fraction(1)
+    kernel_basis = tuple(tuple(vec) for vec in kernel_by_free.values())
+    if bad_row is not None:
+        return SolveOutcome("inconsistent", None, kernel_basis, bad_row)
     if kernel_basis:
         return SolveOutcome("underdetermined", tuple(x), kernel_basis)
     return SolveOutcome("unique", tuple(x), ())
 
 
-def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
+def _cancel(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
     """``row`` with column c cleared by ``prow`` (whose entry there is
     positive), divided by its gcd; the sign of ``row`` is kept."""
     f, pv = row[c], prow[c]
-    row = [a * pv - f * b for a, b in zip(row, prow)]
-    g = _elim_py._row_gcd(row)
-    return [a // g for a in row] if g > 1 else row
+    out = {k: a * pv for k, a in row.items()} if pv != 1 else dict(row)
+    for k, b in prow.items():
+        a = out.get(k, 0) - f * b
+        if a:
+            out[k] = a
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    return {k: a // g for k, a in out.items()} if g > 1 else out
 
 
 class RowSpace:
     """Incrementally maintained row space over the rationals.
 
     Internally keeps the integer-scaled reduced row echelon form of all
-    vectors added so far: each row is primitive (gcd 1) with a positive
-    pivot, rows are sorted by pivot column, and every pivot column is zero
-    in the other rows.  That form is unique, so the basis depends only on
-    the span, not on insertion order.
+    vectors added so far as sparse rows ``{column: int}`` keyed by pivot
+    column: each row is primitive (gcd 1) with a positive pivot, and every
+    pivot column is zero in the other rows.  That form is unique, so the
+    basis depends only on the span, not on insertion order.
+
+    Vectors are dense sequences of length ``ncols`` or ``{column:
+    coefficient}`` maps over columns ``0..ncols-1``.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Sequence[Fraction | int]) -> list[int]:
+    def _reduce(self, vec: Sequence[Fraction | int] | Mapping[int, Fraction | int]) -> dict[int, int]:
         """The integer-scaled vector with every stored pivot column cleared."""
-        if len(vec) != self.ncols:
-            raise ValueError(f"vector length {len(vec)} != {self.ncols}")
-        v = _int_rows([vec])[0]
-        for row, c in zip(self._rows, self._pivots):
-            if v[c]:
-                v = _cancel(v, row, c)
+        if isinstance(vec, Mapping):
+            if any(not 0 <= c < self.ncols for c in vec):
+                raise ValueError(f"vector {dict(vec)} has a column outside 0..{self.ncols - 1}")
+            items = vec.items()
+        else:
+            if len(vec) != self.ncols:
+                raise ValueError(f"vector length {len(vec)} != {self.ncols}")
+            items = enumerate(vec)
+        nonzero = {c: v for c, v in items if v}
+        if not nonzero:
+            return nonzero
+        den = lcm(*[v.denominator for v in nonzero.values()])
+        # numerator * (den // denominator) is v * den without Fraction arithmetic
+        v = {c: a.numerator * (den // a.denominator) for c, a in nonzero.items()}
+        # a stored row is zero at the other pivots, so clearing one pivot
+        # leaves the vector's entries at the others nonzero
+        for c in [c for c in v if c in self._rows]:
+            v = _cancel(v, self._rows[c], c)
         return v
 
-    def add(self, vec: Sequence[Fraction | int]) -> bool:
+    def add(self, vec: Sequence[Fraction | int] | Mapping[int, Fraction | int]) -> bool:
         """Add a vector; return True when it enlarged the span."""
         v = self._reduce(vec)
-        if not any(v):
+        if not v:
             return False
-        # one-row elimination: divide v by its gcd, making its pivot positive
-        (c,) = _elim_py.eliminate([v], self.ncols)
-        for k, row in enumerate(self._rows):
-            if row[c]:
-                self._rows[k] = _cancel(row, v, c)
-        k = bisect_left(self._pivots, c)
-        self._rows.insert(k, v)
-        self._pivots.insert(k, c)
+        # one-row elimination over the support: divide by the gcd, making
+        # the pivot (leftmost) entry positive
+        cols = sorted(v)
+        vals = [v[c] for c in cols]
+        _elim_py.eliminate([vals], 1)
+        c = cols[0]
+        v = dict(zip(cols, vals))
+        for p, row in self._rows.items():
+            if c in row:
+                self._rows[p] = _cancel(row, v, c)
+        self._rows[c] = v
         return True
 
-    def contains(self, vec: Sequence[Fraction | int]) -> bool:
-        return not any(self._reduce(vec))
+    def contains(self, vec: Sequence[Fraction | int] | Mapping[int, Fraction | int]) -> bool:
+        return not self._reduce(vec)
 
     def basis(self) -> list[tuple[Fraction, ...]]:
         """Canonical rref basis of the span."""
         out = []
-        for row, c in zip(self._rows, self._pivots):
-            pv = row[c]
-            out.append(tuple(Fraction(v, pv) for v in row))
+        for c in sorted(self._rows):
+            row = self._rows[c]
+            vec = [Fraction(0)] * self.ncols
+            for k, a in row.items():
+                vec[k] = Fraction(a, row[c])
+            out.append(tuple(vec))
         return out

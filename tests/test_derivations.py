@@ -20,6 +20,7 @@ from wittkit.derivations import (
     submodule_closure,
     verify_bracket_identities,
 )
+from wittkit.derivations import _derived_codomain, _stacked_rows, _term_key
 from wittkit.fields import (
     L_basis,
     TruncationWindow,
@@ -28,7 +29,7 @@ from wittkit.fields import (
     euler,
     sl_basis,
 )
-from wittkit.linalg import RationalMatrix, RowSpace, solve
+from wittkit.linalg import RationalMatrix, RowSpace, solve, solve_sparse
 from wittkit.poly import Monomial, Polynomial, grlex_key
 from wittkit.suites import random_field
 
@@ -423,6 +424,40 @@ def test_solve_inner_general_search_subspace():
     spec = DerivationSpec.from_ad(euler(2), L_basis(2))
     result = solve_inner(spec, line)
     assert result.kind == "unique" and result.field == euler(2)
+
+
+def stacked_system(gens, search, values=()):
+    """The rows and rhs of [g, w] = value, assembled and ordered as solve_inner does."""
+    rows = _stacked_rows(gens, search, _derived_codomain(gens, search))
+    rhs = {}
+    for a, value in enumerate(values):
+        for m, i, c in value.terms():
+            rhs[(a, (m, i))] = c
+            rows.setdefault((a, (m, i)), {})
+    labels = sorted(rows, key=lambda lab: (lab[0], _term_key(lab[1])))
+    return [rows[lab] for lab in labels], [rhs.get(lab, 0) for lab in labels]
+
+
+def stacked_cases():
+    rng = random.Random(430)
+    for gens, search in ((sl_basis(3), span(4, -1, 2)), (L_basis(2), span(3, -1, 2))):
+        rows, zero = stacked_system(gens, search)
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(search.dim)]
+        image = [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
+        noise = [rng.choice((0, 0, 0, rng.randint(-2, 2))) for _ in rows]
+        for rhs in (zero, image, noise):
+            yield rows, search.dim, rhs
+    for spec, search in obstructed_specs():
+        rows, rhs = stacked_system(spec.generators, search, spec.values)
+        yield rows, search.dim, rhs
+
+
+@pytest.mark.parametrize("rows, ncols, rhs", list(stacked_cases()), ids=[
+    "sl3-zero", "sl3-image", "sl3-noise", "L2-zero", "L2-image", "L2-noise", "unreachable", "two-blocks"])
+def test_solve_sparse_matches_dense_solve_on_stacked_systems(rows, ncols, rhs):
+    # oracle: the one-big-matrix solve on the densified system
+    dense = RationalMatrix.from_rows([[row.get(c, 0) for c in range(ncols)] for row in rows])
+    assert solve_sparse(rows, ncols, rhs) == solve(dense, rhs)
 
 
 # -- verify_bracket_identities ------------------------------------------------

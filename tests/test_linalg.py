@@ -136,6 +136,17 @@ def test_rowspace_membership():
     assert basis == [(1, 0, 1), (0, 1, 1)]
 
 
+def test_rowspace_shape_checks():
+    space = RowSpace(3)
+    space.add([1, 2, 3])
+    for bad in ([1, 2], [1, 2, 3, 4], [], {3: 1}, {-1: 1}, {0: 1, 5: 0}):
+        with pytest.raises(ValueError):
+            space.add(bad)
+        with pytest.raises(ValueError):
+            space.contains(bad)
+    assert space.rank == 1
+
+
 def random_vectors(rng, ncols, count):
     """Seeded vectors mixing zero, duplicate, dependent, Fraction and huge ones."""
     out = []
@@ -170,6 +181,7 @@ def test_rowspace_matches_one_shot_rref():
         ncols = rng.randint(1, 7)
         vectors = random_vectors(rng, ncols, rng.randint(1, 12))
         space = RowSpace(ncols)
+        mapped = RowSpace(ncols)  # the same vectors as {column: coefficient} maps
         rank_before = 0
         for k, vec in enumerate(vectors):
             grew = space.add(vec)
@@ -177,8 +189,13 @@ def test_rowspace_matches_one_shot_rref():
             assert grew == (len(expected) > rank_before)
             assert space.rank == len(expected)
             assert space.basis() == expected
+            # the map keeps some zero coefficients, at even columns
+            assert mapped.add({c: v for c, v in enumerate(vec) if v or c % 2 == 0}) == grew
+            assert mapped.rank == space.rank
+            assert mapped.basis() == expected
             rank_before = len(expected)
         assert all(space.contains(vec) for vec in vectors)
+        assert all(mapped.contains(dict(enumerate(vec))) for vec in vectors)
         probe = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(ncols)]
         assert space.contains(probe) == (len(nonzero_rref_rows(vectors + [probe])) == space.rank)
         shuffled = vectors[:]
