@@ -3,8 +3,9 @@
 Core layers:
 
   poly         exact sparse polynomials over the rationals
-  fields       vector fields, the Lie bracket, gradings, truncation windows,
-               and the standard generator families
+  fields       vector fields, the Lie bracket (generic, and term by term
+               from the integer structure constants), gradings,
+               truncation windows, and the standard generator families
   linalg       exact rational linear algebra: dense integer Gauss-Jordan
                elimination, and an incremental sparse rref that solves
                the stacked sparse systems

@@ -3,12 +3,19 @@ truncated modules, and reconstruction of the inner element realizing a
 derivation given on a generating set.
 
 All computations reduce to exact rational linear algebra over the canonical
-term basis of a truncation window.  Every stacked system (centralizer, H^1
+term basis of a truncation window.  Every bracket that enters a system (the
+stacked rows, the module action, adjoint matrices, closure orbits) is
+computed by ``fields.bracket_terms`` from the Witt algebra's integer
+structure constants, as a term map with int coefficients wherever the
+inputs are integral, and is read into sparse coordinates
+``{basis position: coefficient}``; no system is assembled through the
+generic ``VectorField.bracket``.  Every stacked system (centralizer, H^1
 cocycles and coboundaries, inner reconstruction) is built once as sparse
 labelled rows and solved by ``linalg.solve_sparse``, which reduces the rows
 one at a time into a sparse rref; since the reduced row echelon form is
 unique, the answer is identical to the one-big-matrix computation, just
-much cheaper, whatever the window or the generators.
+much cheaper, whatever the window or the generators.  Results (kernel
+vectors, particular solutions, H^1 bases) hold Fractions.
 
 Strictness follows the ambient window's mode: with a ``strict`` window a
 bracket or value that leaves the window raises ClosureViolation /
@@ -18,25 +25,27 @@ such terms (exploratory use only).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
 from .fields import (
     L_basis,
+    Term,
     TruncationWindow,
     VectorField,
     WindowViolation,
+    bracket_terms,
     euler,
+    exponent_terms,
     format_term,
     sl_basis,
-    truncate,
 )
 from .linalg import RationalMatrix, RowSpace
-from .poly import Monomial, Polynomial, grlex_key
+from .poly import Monomial, Polynomial, Rational, grlex_key
 
-Term = tuple[Monomial, int]
+TermMap = Mapping[Term, Rational]   # {(monomial, direction): coefficient}
 
 
 class ClosureViolation(WindowViolation):
@@ -50,6 +59,25 @@ class DerivationSpecError(ValueError):
 def _term_key(term: Term) -> tuple:
     mono, direction = term
     return (mono.length(), direction, grlex_key(mono))
+
+
+def _first_term(terms: Sequence[Term]) -> Term:
+    """The term that ``VectorField.terms`` lists first: direction ascending,
+    then descending graded-lex."""
+    return min(terms, key=lambda t: (t[1], grlex_key(t[0])))
+
+
+def _terms_of(w: VectorField) -> dict[Term, Fraction]:
+    return {(mono, direction): coeff for mono, direction, coeff in w.terms()}
+
+
+def _field_of(terms: TermMap) -> VectorField:
+    return sum((VectorField.term(m, i, c) for (m, i), c in terms.items()), VectorField.zero())
+
+
+def _inside(terms: TermMap, window: TruncationWindow) -> dict[Term, Rational]:
+    """The terms that lie in the window (a ``project`` truncation)."""
+    return {t: c for t, c in terms.items() if window.contains_term(*t)}
 
 
 class SubspaceSpec:
@@ -78,10 +106,8 @@ class SubspaceSpec:
         self._full = self._is_full_window()
         self._coord_matrix: RationalMatrix | None = None
         if not self._full and self.basis:
-            cols = [self._term_coords(w) for w in self.basis]
-            m = RationalMatrix.from_rows(
-                [[cols[b][t] for b in range(len(cols))] for t in range(len(self._terms))]
-            )
+            cols = [_terms_of(w) for w in self.basis]
+            m = RationalMatrix.from_rows([[col.get(t, 0) for col in cols] for t in self._terms])
             self._coord_matrix = m
             if linalg.rank(m) != len(self.basis):
                 raise ValueError("basis elements are linearly dependent")
@@ -111,38 +137,47 @@ class SubspaceSpec:
     def terms(self) -> list[Term]:
         return list(self._terms)
 
-    def _term_coords(self, w: VectorField) -> list[Fraction]:
-        vec = [Fraction(0)] * len(self._terms)
-        for mono, direction, coeff in w.terms():
-            k = self._index.get((mono, direction))
-            if k is None:
-                raise WindowViolation(
-                    f"term {format_term(mono, direction)} lies outside the window",
-                    mono,
-                    direction,
-                )
-            vec[k] = coeff
-        return vec
-
     def coords(self, w: VectorField) -> tuple[Fraction, ...]:
         """Coordinates of w in this basis; raises if w is not in the span."""
         return self.coords_many([w])[0]
 
     def coords_many(self, ws: Sequence[VectorField]) -> list[tuple[Fraction, ...]]:
-        vecs = [self._term_coords(w) for w in ws]
+        vecs = self.sparse_coords([_terms_of(w) for w in ws])
+        return [tuple(Fraction(v.get(r, 0)) for r in range(self.dim)) for v in vecs]
+
+    def sparse_coords(self, images: Sequence[TermMap]) -> list[dict[int, Rational]]:
+        """Coordinates {basis position: coefficient} of zero-free term maps,
+        zeros dropped.  Raises WindowViolation naming the first term (in the
+        order of ``VectorField.terms``) of the first image that leaves the
+        window, then ClosureViolation for the first image outside the span."""
+        index = self._index
+        for image in images:
+            outside = [t for t in image if t not in index]
+            if outside:
+                mono, direction = _first_term(outside)
+                raise WindowViolation(
+                    f"term {format_term(mono, direction)} lies outside the window",
+                    mono,
+                    direction,
+                )
         if self._full:
-            return [tuple(v) for v in vecs]
+            return [{index[t]: c for t, c in image.items()} for image in images]
         if not self.basis:
-            for w, v in zip(ws, vecs):
-                if any(v):
-                    raise ClosureViolation(f"field is outside the (zero) span: {w!r}")
-            return [() for _ in ws]
-        outcomes = linalg.solve_many(self._coord_matrix, vecs)
+            for image in images:
+                if image:
+                    raise ClosureViolation(f"field is outside the (zero) span: {_field_of(image)!r}")
+            return [{} for _ in images]
+        vecs = []
+        for image in images:
+            vec = [0] * len(self._terms)
+            for t, c in image.items():
+                vec[index[t]] = c
+            vecs.append(vec)
         out = []
-        for w, outcome in zip(ws, outcomes):
+        for image, outcome in zip(images, linalg.solve_many(self._coord_matrix, vecs)):
             if outcome.kind == "inconsistent":
-                raise ClosureViolation(f"field is outside the span of the basis: {w!r}")
-            out.append(outcome.particular)
+                raise ClosureViolation(f"field is outside the span of the basis: {_field_of(image)!r}")
+            out.append({r: v for r, v in enumerate(outcome.particular) if v})
         return out
 
     def contains(self, w: VectorField) -> bool:
@@ -179,56 +214,61 @@ def _stacked_rows(
     gens: Sequence[VectorField],
     search: SubspaceSpec,
     codomain_window: TruncationWindow,
-) -> dict[Label, dict[int, Fraction]]:
+) -> dict[Label, dict[int, Rational]]:
     """Sparse rows of w -> ([g_1, w], ..., [g_k, w]) over the search basis,
     keyed by label; each row maps search basis positions to coefficients."""
-    rows: dict[Label, dict[int, Fraction]] = {}
+    rows: dict[Label, dict[int, Rational]] = {}
+    contains = codomain_window.contains_term
+    gen_terms = [exponent_terms(g) for g in gens]
     for col, base in enumerate(search.basis):
-        for a, g in enumerate(gens):
-            for mono, direction, coeff in g.bracket(base).terms():
-                if not codomain_window.contains_term(mono, direction):
-                    if codomain_window.mode == "strict":
-                        raise ClosureViolation(
-                            f"bracket image term {format_term(mono, direction)} escapes "
-                            f"the codomain window (max_var={codomain_window.max_var}, "
-                            f"degrees {codomain_window.degree_min}..{codomain_window.degree_max})",
-                            mono,
-                            direction,
-                        )
-                    continue
-                rows.setdefault((a, (mono, direction)), {})[col] = coeff
+        base_terms = exponent_terms(base)
+        for a, g in enumerate(gen_terms):
+            outside = []
+            for term, coeff in bracket_terms(g, base_terms).items():
+                if contains(*term):
+                    rows.setdefault((a, term), {})[col] = coeff
+                else:
+                    outside.append(term)
+            if outside and codomain_window.mode == "strict":
+                mono, direction = _first_term(outside)
+                raise ClosureViolation(
+                    f"bracket image term {format_term(mono, direction)} escapes "
+                    f"the codomain window (max_var={codomain_window.max_var}, "
+                    f"degrees {codomain_window.degree_min}..{codomain_window.degree_max})",
+                    mono,
+                    direction,
+                )
     return rows
 
 
 def ad_matrix(w: VectorField, domain: SubspaceSpec, codomain: SubspaceSpec) -> RationalMatrix:
     """Matrix of x -> [x, w] from domain coordinates to codomain coordinates."""
-    images = [b.bracket(w) for b in domain.basis]
+    w_terms = exponent_terms(w)
+    images = [bracket_terms(exponent_terms(b), w_terms) for b in domain.basis]
     if codomain.window.mode == "project":
-        images = [truncate(im, codomain.window) for im in images]
+        images = [_inside(im, codomain.window) for im in images]
     try:
-        cols = codomain.coords_many(images)
+        cols = codomain.sparse_coords(images)
     except WindowViolation as exc:
         raise ClosureViolation(
             f"adjoint image escapes the codomain: {exc}", exc.mono, exc.direction
         ) from exc
-    return RationalMatrix.from_rows(
-        [[cols[b][t] for b in range(domain.dim)] for t in range(codomain.dim)]
-    )
+    return RationalMatrix.from_rows([[col.get(t, 0) for col in cols] for t in range(codomain.dim)])
 
 
-def _action_columns(g: VectorField, module: SubspaceSpec) -> list[dict[int, Fraction]]:
+def _action_columns(g: VectorField, module: SubspaceSpec) -> list[dict[int, Rational]]:
     """The module action m -> [g, m]: per module basis element, the nonzero
     module coordinates of its image."""
-    images = [g.bracket(b) for b in module.basis]
+    g_terms = exponent_terms(g)
+    images = [bracket_terms(g_terms, exponent_terms(b)) for b in module.basis]
     if module.window.mode == "project":
-        images = [truncate(im, module.window) for im in images]
+        images = [_inside(im, module.window) for im in images]
     try:
-        cols = module.coords_many(images)
+        return module.sparse_coords(images)
     except WindowViolation as exc:
         raise ClosureViolation(
             f"module action escapes the module: {exc}", exc.mono, exc.direction
         ) from exc
-    return [{r: v for r, v in enumerate(col) if v} for col in cols]
 
 
 def centralizer(actors: Sequence[VectorField], ambient: SubspaceSpec) -> list[VectorField]:
@@ -247,27 +287,28 @@ def centralizer(actors: Sequence[VectorField], ambient: SubspaceSpec) -> list[Ve
 def submodule_closure(v: VectorField, n: int, ambient: SubspaceSpec) -> list[VectorField]:
     """Basis of the smallest subspace of the ambient containing v and closed
     under bracketing with the special-linear generators in n variables."""
-    gens = sl_basis(n)
+    gens = [exponent_terms(g) for g in sl_basis(n)]
     space = RowSpace(ambient.dim)
-    space.add(ambient.coords(v))
-    frontier = [v]
+    space.add(ambient.sparse_coords([_terms_of(v)])[0])
+    # the frontier holds the exponent terms of the images that grew the span
+    frontier = [exponent_terms(v)]
     while frontier:
         new_frontier = []
         for g in gens:
             for f in frontier:
-                image = g.bracket(f)
+                image = bracket_terms(g, f)
                 if ambient.window.mode == "project":
-                    image = truncate(image, ambient.window)
-                if image.is_zero():
+                    image = _inside(image, ambient.window)
+                if not image:
                     continue
                 try:
-                    vec = ambient.coords(image)
+                    vec = ambient.sparse_coords([image])[0]
                 except WindowViolation as exc:
                     raise ClosureViolation(
                         f"orbit of {v!r} escapes the ambient: {exc}", exc.mono, exc.direction
                     ) from exc
                 if space.add(vec):
-                    new_frontier.append(image)
+                    new_frontier.append(exponent_terms(image))
         frontier = new_frontier
     return [ambient.field_from_coords(row) for row in space.basis()]
 
@@ -313,17 +354,19 @@ def h1_report(n: int, module: SubspaceSpec, include_bases: bool = False) -> H1Re
 
     # expand pairwise brackets over the generator basis (structure constants)
     deg0 = SubspaceSpec.span_window(TruncationWindow(max_var=n, degree_min=0, degree_max=0, mode="strict"))
-    gen_matrix = RationalMatrix.from_rows(
-        [[deg0.coords(g)[t] for g in gens] for t in range(deg0.dim)]
-    )
+    gen_cols = deg0.coords_many(gens)
+    gen_matrix = RationalMatrix.from_rows([[col[t] for col in gen_cols] for t in range(deg0.dim)])
     pairs = [(p, q) for p in range(G) for q in range(p + 1, G)]
-    bracket_coords = [deg0.coords(gens[p].bracket(gens[q])) for p, q in pairs]
-    lambdas = linalg.solve_many(gen_matrix, bracket_coords)
+    gen_terms = [exponent_terms(g) for g in gens]
+    bracket_coords = deg0.sparse_coords([bracket_terms(gen_terms[p], gen_terms[q]) for p, q in pairs])
+    lambdas = linalg.solve_many(
+        gen_matrix, [[vec.get(t, 0) for t in range(deg0.dim)] for vec in bracket_coords]
+    )
 
     # cocycle condition: c([a,b]) - a.c(b) + b.c(a) = 0, unknowns c(g_k) stacked
-    z_rows: list[dict[int, Fraction]] = []
+    z_rows: list[dict[int, Rational]] = []
     for (p, q), lam in zip(pairs, lambdas):
-        block: list[dict[int, Fraction]] = [{} for _ in range(M)]
+        block: list[dict[int, Rational]] = [{} for _ in range(M)]
         for k, c in enumerate(lam.particular):
             if c:
                 for r in range(M):
@@ -337,7 +380,7 @@ def h1_report(n: int, module: SubspaceSpec, include_bases: bool = False) -> H1Re
     cocycles = linalg.solve_sparse(z_rows, G * M).kernel_basis
 
     # coboundaries: w -> (g_k -> [g_k, w]), row k*M + r holding coordinate r of g_k.w
-    b_rows: list[dict[int, Fraction]] = [{} for _ in range(G * M)]
+    b_rows: list[dict[int, Rational]] = [{} for _ in range(G * M)]
     for k in range(G):
         for t in range(M):
             for r, v in acts[k][t].items():
@@ -346,7 +389,7 @@ def h1_report(n: int, module: SubspaceSpec, include_bases: bool = False) -> H1Re
     if not include_bases:
         return H1Report(n, M, len(cocycles), b1)
     boundaries = tuple(
-        tuple(act[t].get(r, Fraction(0)) for act in acts for r in range(M)) for t in range(M)
+        tuple(Fraction(act[t].get(r, 0)) for act in acts for r in range(M)) for t in range(M)
     )
     return H1Report(n, M, len(cocycles), b1, cocycles, boundaries)
 
@@ -411,56 +454,57 @@ class DerivationSpec:
 
     def _validate(self) -> tuple[tuple[int, int], ...]:
         gens = self.generators
-        union_terms = sorted(
-            {(m, i) for g in gens for m, i, _ in g.terms()}, key=_term_key
-        )
+        gen_maps = [_terms_of(g) for g in gens]
+        union_terms = sorted({t for m in gen_maps for t in m}, key=_term_key)
         index = {t: k for k, t in enumerate(union_terms)}
-
-        def vec(w: VectorField) -> list[Fraction] | None:
-            out = [Fraction(0)] * len(union_terms)
-            for m, i, c in w.terms():
-                k = index.get((m, i))
-                if k is None:
-                    return None
-                out[k] = c
-            return out
-
-        gen_vecs = [vec(g) for g in gens]
-        gen_matrix = RationalMatrix.from_rows(
-            [[gen_vecs[k][t] for k in range(len(gens))] for t in range(len(union_terms))]
-        )
+        gen_matrix = RationalMatrix.from_rows([[m.get(t, 0) for m in gen_maps] for t in union_terms])
         if linalg.rank(gen_matrix) != len(gens):
             raise DerivationSpecError("generators are linearly dependent")
 
+        gen_terms = [exponent_terms(g) for g in gens]
+        value_terms = [exponent_terms(v) for v in self.values]
         pairs = []
         rhs = []
         skipped = []
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
-                bracket_ab = gens[a].bracket(gens[b])
-                v = vec(bracket_ab)
-                if v is None:
+                bracket_ab = bracket_terms(gen_terms[a], gen_terms[b])
+                if any(t not in index for t in bracket_ab):
                     skipped.append((a, b))
                     continue
+                vec = [0] * len(union_terms)
+                for t, c in bracket_ab.items():
+                    vec[index[t]] = c
                 pairs.append((a, b))
-                rhs.append(v)
+                rhs.append(vec)
         if pairs:
+            value_maps = [_terms_of(v) for v in self.values]
             outcomes = linalg.solve_many(gen_matrix, rhs)
             for (a, b), outcome in zip(pairs, outcomes):
                 if outcome.kind == "inconsistent":
                     skipped.append((a, b))
                     continue
-                lam = outcome.particular
-                expected = VectorField.zero()
-                for k, c in enumerate(lam):
-                    if c:
-                        expected = expected + self.values[k].scale(c)
-                actual = self.values[a].bracket(gens[b]) + gens[a].bracket(self.values[b])
+                expected = _combine(
+                    (c, value_maps[k]) for k, c in enumerate(outcome.particular) if c
+                )
+                actual = _combine([
+                    (1, bracket_terms(value_terms[a], gen_terms[b])),
+                    (1, bracket_terms(gen_terms[a], value_terms[b])),
+                ])
                 if expected != actual:
                     raise DerivationSpecError(
                         f"cocycle identity fails on generator pair ({a + 1}, {b + 1})"
                     )
         return tuple(sorted(skipped))
+
+
+def _combine(scaled: Iterable[tuple[Rational, TermMap]]) -> dict[Term, Rational]:
+    """The term map of sum c * terms, zeros dropped."""
+    out: dict[Term, Rational] = {}
+    for c, terms in scaled:
+        for t, v in terms.items():
+            out[t] = out.get(t, 0) + c * v
+    return {t: v for t, v in out.items() if v}
 
 
 def _derived_codomain(gens: Sequence[VectorField], search: SubspaceSpec) -> TruncationWindow:
@@ -693,11 +737,13 @@ def _normalize(
     if not coeff:
         return field
     e = euler(n)
-    if not space.contains(e):
+    try:
+        *kernel, target = space.sparse_coords([_terms_of(w) for w in (*ambiguity, e)])
+    except WindowViolation:
         return field
     rs = RowSpace(space.dim)
-    for k in ambiguity:
-        rs.add(space.coords(k))
-    if rs.contains(space.coords(e)):
+    for vec in kernel:
+        rs.add(vec)
+    if rs.contains(target):
         return field - e.scale(coeff)
     return field

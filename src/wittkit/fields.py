@@ -12,6 +12,16 @@ The bracket of u = sum_i h_i di and w = sum_j f_j dj is
 which agrees with the commutator of the two derivations acting on
 polynomials (see ``VectorField.apply_to``, the independent oracle).
 
+On basis terms the bracket has integer structure constants,
+
+    [x^a di, x^b dj] = b_i x^(a+b-e_i) dj  -  a_j x^(a+b-e_j) di,
+
+and ``bracket_terms`` computes brackets term by term from this formula on
+exponent maps, with int coefficients wherever the inputs are integral.  The
+linear systems of ``derivations`` are assembled from it;
+``VectorField.bracket`` stays the generic polynomial computation and is
+the oracle it is tested against.
+
 A term  m di  is graded by  deg = length(m) - 1, so directions d1, d2, ...
 have degree -1 and the grading is a Lie grading: brackets add degrees.
 
@@ -34,8 +44,11 @@ from .poly import (
     Rational,
     format_monomial,
     grlex_key,
+    monomial_from_pairs,
     monomials_of_length,
 )
+
+Term = tuple[Monomial, int]   # the basis term m d<direction>
 
 
 def format_term(mono: Monomial, direction: int) -> str:
@@ -252,6 +265,62 @@ def bracket(u: VectorField, w: VectorField) -> VectorField:
 
 def apply_field(w: VectorField, p: Polynomial) -> Polynomial:
     return w.apply_to(p)
+
+
+ExponentTerms = list[tuple[dict[int, int], int, Rational]]
+
+
+def exponent_terms(x: VectorField | Mapping[Term, Rational]) -> ExponentTerms:
+    """(exponent map, direction, coefficient) per term of a field or of a
+    term map {(monomial, direction): coefficient}; integral coefficients
+    become ints."""
+    items = x.terms() if isinstance(x, VectorField) else ((m, i, c) for (m, i), c in x.items())
+    return [(dict(m.pairs), i, c.numerator if c.denominator == 1 else c) for m, i, c in items]
+
+
+def bracket_terms(u: ExponentTerms, w: ExponentTerms) -> dict[Term, Rational]:
+    """The bracket [u, w] of two fields given by ``exponent_terms``, as
+    {(monomial, direction): coefficient} with zeros dropped, summed term by
+    term from the structure constants
+    [x^a di, x^b dj] = b_i x^(a+b-e_i) dj - a_j x^(a+b-e_j) di.
+
+    Integral coefficients are ints, the others Fractions; the terms equal
+    those of ``VectorField.bracket``.
+    """
+    acc: dict[tuple[tuple[tuple[int, int], ...], int], Rational] = {}
+    for a, i, ca in u:
+        for b, j, cb in w:
+            bi = b.get(i)
+            aj = a.get(j)
+            if not (bi or aj):
+                continue
+            ab = a.copy()
+            for v, e in b.items():
+                ab[v] = ab.get(v, 0) + e
+            c = ca * cb
+            if bi:
+                key = (_lowered(ab, i), j)
+                acc[key] = acc.get(key, 0) + c * bi
+            if aj:
+                key = (_lowered(ab, j), i)
+                acc[key] = acc.get(key, 0) - c * aj
+    out: dict[Term, Rational] = {}
+    for (pairs, direction), c in acc.items():
+        if c:
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[(monomial_from_pairs(pairs), direction)] = c
+    return out
+
+
+def _lowered(exps: dict[int, int], var: int) -> tuple[tuple[int, int], ...]:
+    """Canonical pairs of x^exps / x_var (x_var divides x^exps)."""
+    out = exps.copy()
+    if out[var] == 1:
+        del out[var]
+    else:
+        out[var] -= 1
+    return tuple(sorted(out.items()))
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,14 @@ class Monomial:
 _UNIT = Monomial()
 
 
+def monomial_from_pairs(pairs: tuple[tuple[int, int], ...]) -> Monomial:
+    """Trusted constructor: ``pairs`` must already be canonical (ascending
+    variable indices >= 1, exponents >= 1); nothing is checked."""
+    m = Monomial.__new__(Monomial)
+    m._pairs = pairs
+    return m
+
+
 def grlex_key(m: Monomial) -> tuple:
     """Sort key under which ascending order is descending graded-lex order."""
     return (-m.length(), tuple((var, -exp) for var, exp in m.pairs))

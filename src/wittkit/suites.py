@@ -31,7 +31,9 @@ from .fields import (
     L_basis,
     TruncationWindow,
     VectorField,
+    bracket_terms,
     euler,
+    exponent_terms,
     sl_basis,
 )
 from .linalg import RationalMatrix, RowSpace
@@ -171,6 +173,11 @@ def _suite_bracket(rng: random.Random, triples: int = 500) -> Iterator[CheckResu
         if u.bracket(w) != -1 * w.bracket(u):
             yield CheckResult("bracket.antisymmetry", False, _counter(u, w, note=f"trial {trial}:"))
             return
+        # the structure-constant term formula against the generic bracket
+        generic = {(m, i): c for m, i, c in u.bracket(w).terms()}
+        if bracket_terms(exponent_terms(u), exponent_terms(w)) != generic:
+            yield CheckResult("bracket.term-formula", False, _counter(u, w, note=f"trial {trial}:"))
+            return
         a, b = random_rational(rng), random_rational(rng)
         if (u.scale(a) + v.scale(b)).bracket(w) != u.bracket(w).scale(a) + v.bracket(w).scale(b):
             yield CheckResult("bracket.bilinearity", False, _counter(u, v, w, note=f"trial {trial}:"))
@@ -191,6 +198,7 @@ def _suite_bracket(rng: random.Random, triples: int = 500) -> Iterator[CheckResu
     yield CheckResult("bracket.bilinearity", True)
     yield CheckResult("bracket.jacobi", True)
     yield CheckResult("bracket.derivation-oracle", True)
+    yield CheckResult("bracket.term-formula", True)
 
     # grading: deg[u, w] = deg u + deg w; the grading field acts by the degree
     for trial in range(100):

@@ -20,14 +20,16 @@ from wittkit.derivations import (
     submodule_closure,
     verify_bracket_identities,
 )
-from wittkit.derivations import _derived_codomain, _stacked_rows, _term_key
+from wittkit.derivations import _action_columns, _derived_codomain, _stacked_rows, _term_key
 from wittkit.fields import (
     L_basis,
     TruncationWindow,
     VectorField,
     WindowViolation,
     euler,
+    format_term,
     sl_basis,
+    truncate,
 )
 from wittkit.linalg import RationalMatrix, RowSpace, solve, solve_sparse
 from wittkit.poly import Monomial, Polynomial, grlex_key
@@ -458,6 +460,151 @@ def test_solve_sparse_matches_dense_solve_on_stacked_systems(rows, ncols, rhs):
     # oracle: the one-big-matrix solve on the densified system
     dense = RationalMatrix.from_rows([[row.get(c, 0) for c in range(ncols)] for row in rows])
     assert solve_sparse(rows, ncols, rhs) == solve(dense, rhs)
+
+
+# -- structure-constant assembly against the generic bracket -----------------
+
+
+def oracle_stacked_rows(gens, search, window):
+    """The stacked rows built from VectorField.bracket; for a strict window,
+    ("escape", mono, direction) of the first term that leaves it, scanning
+    basis elements, then generators, then each bracket's terms in order."""
+    rows = {}
+    for col, base in enumerate(search.basis):
+        for a, g in enumerate(gens):
+            for mono, direction, coeff in g.bracket(base).terms():
+                if window.contains_term(mono, direction):
+                    rows.setdefault((a, (mono, direction)), {})[col] = coeff
+                elif window.mode == "strict":
+                    return "escape", mono, direction
+    return rows
+
+
+def oracle_action_columns(g, module):
+    """The module action built from VectorField.bracket, coordinates taken by
+    index (full windows) or by the dense solve; ("escape", mono, direction)
+    or ("outside", image) name the first image leaving window or span."""
+    images = [g.bracket(b) for b in module.basis]
+    if module.window.mode == "project":
+        images = [truncate(im, module.window) for im in images]
+    index = {t: k for k, t in enumerate(module.terms())}
+    for im in images:
+        for mono, direction, _ in im.terms():
+            if (mono, direction) not in index:
+                return "escape", mono, direction
+    if module.is_full_window:
+        return [{index[(m, i)]: c for m, i, c in im.terms()} for im in images]
+    basis = RationalMatrix.from_rows(
+        [[b.coeff(m, i) for b in module.basis] for m, i in module.terms()]
+    )
+    cols = []
+    for im in images:
+        outcome = solve(basis, [im.coeff(m, i) for m, i in module.terms()])
+        if outcome.kind == "inconsistent":
+            return "outside", im
+        cols.append({r: v for r, v in enumerate(outcome.particular) if v})
+    return cols
+
+
+def escape_or_result(fn, *args):
+    try:
+        return fn(*args)
+    except ClosureViolation as exc:
+        if exc.mono is None:
+            return "outside", str(exc)
+        assert format_term(exc.mono, exc.direction) in str(exc)
+        return "escape", exc.mono, exc.direction
+
+
+HAND_PICKED = SubspaceSpec(
+    [euler(3), term(1, x2=1) + term(2, x1=2).scale(Fraction(-2, 3)), term(3, x1=1, x3=1),
+     VectorField.direction(2).scale(5)],
+    TruncationWindow(3, -1, 1, "strict"),
+)
+
+
+def stacked_row_cases():
+    rng = random.Random(1018)
+    random_gens = [random_field(rng, max_var=3, max_deg=1, terms=3) for _ in range(3)]
+    for name, gens, search in (
+        ("sl3", sl_basis(3), span(4, -1, 2)),
+        ("sl4", sl_basis(4), span(5, -1, 2)),
+        ("sl5", sl_basis(5), span(6, -1, 2)),
+        ("L2", L_basis(2), span(3, -1, 2)),
+        ("L3", L_basis(3), span(4, -1, 2)),
+        ("random", random_gens, span(3, -1, 1)),
+        ("hand-picked", L_basis(3) + random_gens, HAND_PICKED),
+    ):
+        derived = _derived_codomain(gens, search)
+        yield f"{name}-derived", gens, search, derived
+        top = search.window.degree_max
+        for mode in ("strict", "project"):
+            small = TruncationWindow(search.window.max_var - 1, -1, top - 1, mode)
+            yield f"{name}-small-{mode}", gens, search, small
+        yield f"{name}-low-degree", gens, search, TruncationWindow(derived.max_var, -1, top - 1, "strict")
+
+
+@pytest.mark.parametrize("gens, search, window", [c[1:] for c in stacked_row_cases()],
+                         ids=[c[0] for c in stacked_row_cases()])
+def test_stacked_rows_match_generic_bracket(gens, search, window):
+    got = escape_or_result(_stacked_rows, gens, search, window)
+    assert got == oracle_stacked_rows(gens, search, window)
+    if window.mode == "strict" and window != _derived_codomain(gens, search):
+        assert got[0] == "escape"   # the small strict windows do cut brackets
+
+
+def action_cases():
+    sl2_span = SubspaceSpec(sl_basis(2), TruncationWindow(2, 0, 0, "strict"))
+    not_closed = SubspaceSpec([euler(2), term(1, x2=1)], TruncationWindow(2, 0, 0, "strict"))
+    rng = random.Random(1019)
+    for name, gens, module in (
+        ("sl2-deg1", sl_basis(2), span(3, 1, 1)),
+        ("sl3-deg0", sl_basis(3), span(3, 0, 0)),
+        ("sl3-escape", sl_basis(3), span(2, 0, 0)),
+        ("sl3-project", sl_basis(3), span(2, 0, 0, "project")),
+        ("sl2-hand-picked", sl_basis(2), sl2_span),
+        ("sl2-not-closed", sl_basis(2), not_closed),
+        ("random", [random_field(rng, max_var=2, max_deg=1) for _ in range(4)], span(2, -1, 1, "project")),
+    ):
+        for k, g in enumerate(gens):
+            yield f"{name}-{k}", g, module
+
+
+@pytest.mark.parametrize("g, module", [c[1:] for c in action_cases()],
+                         ids=[c[0] for c in action_cases()])
+def test_action_columns_match_generic_bracket(g, module):
+    got = escape_or_result(_action_columns, g, module)
+    want = oracle_action_columns(g, module)
+    if want[0] == "outside":
+        assert got == ("outside", f"module action escapes the module: "
+                                  f"field is outside the span of the basis: {want[1]!r}")
+    else:
+        assert got == want
+
+
+def test_public_results_hold_fractions():
+    def fractions_only(vectors):
+        return all(type(v) is Fraction for vec in vectors for v in vec)
+
+    def field_fractions(fields):
+        return all(type(c) is Fraction for f in fields for _, _, c in f.terms())
+
+    report = h1_report(2, span(3, 0, 0), include_bases=True)
+    assert report.cocycle_basis and report.coboundary_vectors
+    assert fractions_only(report.cocycle_basis) and fractions_only(report.coboundary_vectors)
+    search = span(4, -1, 1)
+    basis = centralizer(sl_basis(3), search)
+    assert basis and field_fractions(basis)
+    rows = list(_stacked_rows(sl_basis(3), search, _derived_codomain(sl_basis(3), search)).values())
+    outcome = solve_sparse(rows, search.dim)
+    assert outcome.kernel_basis and fractions_only(outcome.kernel_basis)
+    assert fractions_only([outcome.particular])
+    result = solve_inner(DerivationSpec.from_ad(euler(3), sl_basis(3)), search)
+    assert result.kind == "underdetermined"
+    assert field_fractions([result.field, *result.kernel])
+    adj = ad_matrix(term(1, x1=1), span(2, 0, 0), span(2, 0, 0))
+    assert fractions_only([adj.entries])
+    assert fractions_only([search.coords(euler(3)), HAND_PICKED.coords(euler(3))])
 
 
 # -- verify_bracket_identities ------------------------------------------------

@@ -1,5 +1,6 @@
 """Vector fields: bracket, grading, windows, standard bases."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,16 @@ from wittkit.fields import (
     TruncationWindow,
     VectorField,
     WindowViolation,
+    bracket_terms,
     euler,
+    exponent_terms,
     gl_basis,
     sl_basis,
     truncate,
 )
 from wittkit.linalg import RowSpace
 from wittkit.poly import Monomial, Polynomial
+from wittkit.suites import random_field
 
 monomials = st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3).map(Monomial)
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(lambda c: c != 0)
@@ -45,6 +49,62 @@ def test_bracket_against_derivation_oracle():
     for k in (1, 2, 3):
         xk = Polynomial.variable(k)
         assert b.apply_to(xk) == u.apply_to(w.apply_to(xk)) - w.apply_to(u.apply_to(xk))
+
+
+def term_map(w):
+    return {(m, i): c for m, i, c in w.terms()}
+
+
+def term_bracket(u, w):
+    return bracket_terms(exponent_terms(u), exponent_terms(w))
+
+
+def test_bracket_terms_golden():
+    assert term_bracket(VectorField.direction(1), term(2, x1=1)) == {(Monomial(), 2): 1}
+    assert term_bracket(term(1, x1=1, x2=1), term(1, x2=1)) == {(Monomial({2: 2}), 1): -1}
+    assert term_bracket(term(1, x1=1), term(1, x1=1)) == {}
+    assert term_bracket(VectorField.direction(1), VectorField.direction(2)) == {}
+    assert term_bracket(VectorField.zero(), euler(2)) == {}
+    # [1/2 x1^2 d2, 4 x1 x2 d1] = 2 x1^3 d1 - 4 x1^2 x2 d2, with int coefficients
+    u = term(2, x1=2).scale(Fraction(1, 2))
+    w = term(1, x1=1, x2=1).scale(4)
+    got = term_bracket(u, w)
+    assert got == {(Monomial({1: 3}), 1): 2, (Monomial({1: 2, 2: 1}), 2): -4}
+    assert all(type(c) is int for c in got.values())
+    assert term_bracket(u, VectorField.direction(3).scale(Fraction(1, 3))) == {}
+    got = term_bracket(u, term(1, x2=1).scale(Fraction(1, 3)))
+    assert got == {(Monomial({1: 2}), 1): Fraction(1, 6), (Monomial({1: 1, 2: 1}), 2): Fraction(-1, 3)}
+    assert all(type(c) is Fraction for c in got.values())
+
+
+def test_bracket_terms_match_generic_bracket():
+    # oracle: VectorField.bracket on seeded random pairs
+    rng = random.Random(20251018)
+    seen = {"rational": 0, "unit": 0, "free-direction": 0, "cancelled": 0}
+    for _ in range(500):
+        u, w = random_field(rng), random_field(rng)
+        generic = u.bracket(w)
+        got = term_bracket(u, w)
+        assert got == term_map(generic)
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in got.values())
+        # images are term maps and can be bracketed again
+        assert bracket_terms(exponent_terms(got), exponent_terms(u)) == term_map(generic.bracket(u))
+        terms = [*u.terms(), *w.terms()]
+        seen["rational"] += any(c.denominator != 1 for _, _, c in terms)
+        seen["unit"] += any(not m.pairs for m, _, _ in terms)
+        variables = {v for m, _, _ in terms for v in m.support()}
+        seen["free-direction"] += any(i not in variables for _, i, _ in terms)
+        seen["cancelled"] += not got and not u.is_zero() and not w.is_zero()
+    assert min(seen.values()) >= 10, seen
+
+
+def test_bracket_terms_integer_structure_constants():
+    # integral inputs give int coefficients
+    for a in sl_basis(3) + gl_basis(2):
+        for b in L_basis(3):
+            got = term_bracket(a, b)
+            assert got == term_map(a.bracket(b))
+            assert all(type(c) is int for c in got.values())
 
 
 def test_apply_field_golden():

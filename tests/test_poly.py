@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittkit.poly import Monomial, Polynomial, format_polynomial, monomials_of_length
+from wittkit.poly import Monomial, Polynomial, format_polynomial, monomial_from_pairs, monomials_of_length
 
 x1 = Polynomial.variable(1)
 x2 = Polynomial.variable(2)
@@ -127,3 +127,16 @@ def test_canonical_term_order():
     order = [m for m, _ in p.terms()]
     assert order == [mono(x1=2), mono(x1=1), mono(x2=1), Monomial.unit()]
     assert format_polynomial(p) == "x1^2 + x1 + x2 + 1"
+
+
+@given(monomials)
+def test_trusted_monomial_equals_checked(m):
+    # the trusted constructor from canonical pairs equals, and hashes like,
+    # the checking one from an exponent dict
+    trusted = monomial_from_pairs(m.pairs)
+    checked = Monomial(dict(m.pairs))
+    assert trusted == checked and checked == trusted
+    assert hash(trusted) == hash(checked)
+    assert trusted.pairs == checked.pairs and trusted.length() == checked.length()
+    assert {trusted: 1}[checked] == 1
+    assert monomial_from_pairs(()) == Monomial.unit()

@@ -28,3 +28,8 @@ def test_suites_deterministic():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("everything", 1)
+
+
+def test_bracket_suite_checks_the_term_formula():
+    items = [r.item for r in run_suite("bracket", 7)]
+    assert items.index("bracket.term-formula") == items.index("bracket.derivation-oracle") + 1
