@@ -14,8 +14,10 @@ cocycles and coboundaries, inner reconstruction) is built once as sparse
 labelled rows and solved by ``linalg.solve_sparse``, which reduces the rows
 one at a time into a sparse rref; since the reduced row echelon form is
 unique, the answer is identical to the one-big-matrix computation, just
-much cheaper, whatever the window or the generators.  Results (kernel
-vectors, particular solutions, H^1 bases) hold Fractions.
+much cheaper, whatever the window or the generators.  Coordinates over a
+hand-picked basis and expansions over a generating set are read off
+``linalg.SpanCoordinates``, a ``RowSpace`` too.  Results (kernel vectors,
+particular solutions, H^1 bases) hold Fractions.
 
 Strictness follows the ambient window's mode: with a ``strict`` window a
 bracket or value that leaves the window raises ClosureViolation /
@@ -87,7 +89,8 @@ class SubspaceSpec:
     canonical term basis; that case powers all the large computations and
     coordinates are read off directly.  A hand-picked basis is also
     accepted (it must be linearly independent and lie inside the window);
-    coordinates are then obtained by exact solving.
+    coordinates are then read off ``linalg.SpanCoordinates`` over the
+    window's term basis.
     """
 
     def __init__(self, basis: Sequence[VectorField], window: TruncationWindow):
@@ -104,12 +107,12 @@ class SubspaceSpec:
         self._terms = window.term_basis()
         self._index = {t: k for k, t in enumerate(self._terms)}
         self._full = self._is_full_window()
-        self._coord_matrix: RationalMatrix | None = None
-        if not self._full and self.basis:
-            cols = [_terms_of(w) for w in self.basis]
-            m = RationalMatrix.from_rows([[col.get(t, 0) for col in cols] for t in self._terms])
-            self._coord_matrix = m
-            if linalg.rank(m) != len(self.basis):
+        if not self._full:
+            index = self._index
+            self._span = linalg.SpanCoordinates(
+                [{index[t]: c for t, c in _terms_of(w).items()} for w in self.basis], len(index)
+            )
+            if not self._span.independent:
                 raise ValueError("basis elements are linearly dependent")
 
     @staticmethod
@@ -139,11 +142,8 @@ class SubspaceSpec:
 
     def coords(self, w: VectorField) -> tuple[Fraction, ...]:
         """Coordinates of w in this basis; raises if w is not in the span."""
-        return self.coords_many([w])[0]
-
-    def coords_many(self, ws: Sequence[VectorField]) -> list[tuple[Fraction, ...]]:
-        vecs = self.sparse_coords([_terms_of(w) for w in ws])
-        return [tuple(Fraction(v.get(r, 0)) for r in range(self.dim)) for v in vecs]
+        [vec] = self.sparse_coords([_terms_of(w)])
+        return tuple(Fraction(vec.get(r, 0)) for r in range(self.dim))
 
     def sparse_coords(self, images: Sequence[TermMap]) -> list[dict[int, Rational]]:
         """Coordinates {basis position: coefficient} of zero-free term maps,
@@ -167,17 +167,12 @@ class SubspaceSpec:
                 if image:
                     raise ClosureViolation(f"field is outside the (zero) span: {_field_of(image)!r}")
             return [{} for _ in images]
-        vecs = []
-        for image in images:
-            vec = [0] * len(self._terms)
-            for t, c in image.items():
-                vec[index[t]] = c
-            vecs.append(vec)
         out = []
-        for image, outcome in zip(images, linalg.solve_many(self._coord_matrix, vecs)):
-            if outcome.kind == "inconsistent":
+        for image in images:
+            vec = self._span.coords({index[t]: c for t, c in image.items()})
+            if vec is None:
                 raise ClosureViolation(f"field is outside the span of the basis: {_field_of(image)!r}")
-            out.append({r: v for r, v in enumerate(outcome.particular) if v})
+            out.append(vec)
         return out
 
     def contains(self, w: VectorField) -> bool:
@@ -353,24 +348,18 @@ def h1_report(n: int, module: SubspaceSpec, include_bases: bool = False) -> H1Re
     acts = [_action_columns(g, module) for g in gens]
 
     # expand pairwise brackets over the generator basis (structure constants)
-    deg0 = SubspaceSpec.span_window(TruncationWindow(max_var=n, degree_min=0, degree_max=0, mode="strict"))
-    gen_cols = deg0.coords_many(gens)
-    gen_matrix = RationalMatrix.from_rows([[col[t] for col in gen_cols] for t in range(deg0.dim)])
+    gen_span = SubspaceSpec(gens, TruncationWindow(max_var=n, degree_min=0, degree_max=0, mode="strict"))
     pairs = [(p, q) for p in range(G) for q in range(p + 1, G)]
     gen_terms = [exponent_terms(g) for g in gens]
-    bracket_coords = deg0.sparse_coords([bracket_terms(gen_terms[p], gen_terms[q]) for p, q in pairs])
-    lambdas = linalg.solve_many(
-        gen_matrix, [[vec.get(t, 0) for t in range(deg0.dim)] for vec in bracket_coords]
-    )
+    lambdas = gen_span.sparse_coords([bracket_terms(gen_terms[p], gen_terms[q]) for p, q in pairs])
 
     # cocycle condition: c([a,b]) - a.c(b) + b.c(a) = 0, unknowns c(g_k) stacked
     z_rows: list[dict[int, Rational]] = []
     for (p, q), lam in zip(pairs, lambdas):
         block: list[dict[int, Rational]] = [{} for _ in range(M)]
-        for k, c in enumerate(lam.particular):
-            if c:
-                for r in range(M):
-                    block[r][k * M + r] = c
+        for k, c in lam.items():
+            for r in range(M):
+                block[r][k * M + r] = c
         for t in range(M):
             for r, v in acts[p][t].items():
                 block[r][q * M + t] = block[r].get(q * M + t, 0) - v
@@ -455,38 +444,26 @@ class DerivationSpec:
     def _validate(self) -> tuple[tuple[int, int], ...]:
         gens = self.generators
         gen_maps = [_terms_of(g) for g in gens]
-        union_terms = sorted({t for m in gen_maps for t in m}, key=_term_key)
-        index = {t: k for k, t in enumerate(union_terms)}
-        gen_matrix = RationalMatrix.from_rows([[m.get(t, 0) for m in gen_maps] for t in union_terms])
-        if linalg.rank(gen_matrix) != len(gens):
+        index = {t: k for k, t in enumerate(dict.fromkeys(t for m in gen_maps for t in m))}
+        span = linalg.SpanCoordinates([{index[t]: c for t, c in m.items()} for m in gen_maps], len(index))
+        if not span.independent:
             raise DerivationSpecError("generators are linearly dependent")
 
         gen_terms = [exponent_terms(g) for g in gens]
         value_terms = [exponent_terms(v) for v in self.values]
-        pairs = []
-        rhs = []
+        value_maps = [_terms_of(v) for v in self.values]
         skipped = []
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
                 bracket_ab = bracket_terms(gen_terms[a], gen_terms[b])
-                if any(t not in index for t in bracket_ab):
+                # no expansion when the bracket leaves the generators' terms or their span
+                lam = None
+                if all(t in index for t in bracket_ab):
+                    lam = span.coords({index[t]: c for t, c in bracket_ab.items()})
+                if lam is None:
                     skipped.append((a, b))
                     continue
-                vec = [0] * len(union_terms)
-                for t, c in bracket_ab.items():
-                    vec[index[t]] = c
-                pairs.append((a, b))
-                rhs.append(vec)
-        if pairs:
-            value_maps = [_terms_of(v) for v in self.values]
-            outcomes = linalg.solve_many(gen_matrix, rhs)
-            for (a, b), outcome in zip(pairs, outcomes):
-                if outcome.kind == "inconsistent":
-                    skipped.append((a, b))
-                    continue
-                expected = _combine(
-                    (c, value_maps[k]) for k, c in enumerate(outcome.particular) if c
-                )
+                expected = _combine((c, value_maps[k]) for k, c in lam.items())
                 actual = _combine([
                     (1, bracket_terms(value_terms[a], gen_terms[b])),
                     (1, bracket_terms(gen_terms[a], value_terms[b])),
@@ -495,7 +472,7 @@ class DerivationSpec:
                     raise DerivationSpecError(
                         f"cocycle identity fails on generator pair ({a + 1}, {b + 1})"
                     )
-        return tuple(sorted(skipped))
+        return tuple(skipped)
 
 
 def _combine(scaled: Iterable[tuple[Rational, TermMap]]) -> dict[Term, Rational]:

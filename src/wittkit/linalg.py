@@ -5,15 +5,16 @@ bases follow the rref free-column convention.  Rational rows are scaled to
 integers (by the lcm of the denominators) before elimination; pivot rows
 are divided back by their pivot entry when results are read off.
 
-The dense functions (``rref``, ``rank``, ``kernel``, ``solve``,
-``solve_many``) work on a ``RationalMatrix`` with the integer Gauss-Jordan
-primitive ``wittkit._elim_py.eliminate``; pivots are chosen
-deterministically, leftmost nonzero column, first available row.
-``RowSpace`` keeps the same integer rref as sparse rows, reducing each new
-vector against the rows it holds.  ``solve_sparse`` takes rows as
-``{column: coefficient}`` maps and adds them, right-hand side appended, to
-one ``RowSpace``; it returns exactly what ``solve`` returns on the
-densified system.
+``RowSpace`` keeps the integer rref of the vectors added to it as sparse
+rows.  Every production system goes through one: ``solve_sparse`` adds
+``{column: coefficient}`` rows, right-hand side appended, and
+``SpanCoordinates`` reads coordinates in the span of fixed basis vectors.
+
+The dense functions (``rref``, ``rank``, ``kernel``, ``solve``) are the
+oracle only, for the tests and ``wittkit verify``.  They work on a
+``RationalMatrix`` with ``wittkit._elim_py.eliminate``, pivoting on the
+leftmost nonzero column, first available row; ``solve_sparse`` returns
+exactly what ``solve`` returns on the densified system.
 """
 
 from __future__ import annotations
@@ -108,14 +109,11 @@ class SolveOutcome:
     bad_row: int | None = None
 
 
-def _int_rows(m_rows: Sequence[Sequence[Fraction | int]], extra: Sequence[Sequence[Fraction]] | None = None) -> list[list[int]]:
-    """Scale each (row + extra-columns) to coprime integers."""
+def _int_rows(m_rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction] | None = None) -> list[list[int]]:
+    """Scale each row, with its right-hand side appended, to coprime integers."""
     out = []
-    n_extra = len(extra) if extra else 0
     for i, row in enumerate(m_rows):
-        full = list(row)
-        if extra:
-            full.extend(extra[j][i] for j in range(n_extra))
+        full = list(row) if rhs is None else [*row, rhs[i]]
         den = lcm(*[v.denominator for v in full])
         # numerator * (den // denominator) is v * den without Fraction arithmetic
         ints = [v.numerator * (den // v.denominator) for v in full]
@@ -128,19 +126,6 @@ def _int_rows(m_rows: Sequence[Sequence[Fraction | int]], extra: Sequence[Sequen
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
-    return out
-
-
-def _dedupe_nonzero(int_rows: list[list[int]]) -> list[list[int]]:
-    """Drop all-zero and duplicate rows (first occurrence kept)."""
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for row in int_rows:
-        key = tuple(row)
-        if key in seen or not any(row):
-            continue
-        seen.add(key)
-        out.append(row)
     return out
 
 
@@ -163,14 +148,13 @@ def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fracti
 
 
 def rank(m: RationalMatrix) -> int:
-    int_rows = _dedupe_nonzero(_int_rows(m.to_rows()))
-    return len(_elim_py.eliminate(int_rows, m.cols))
+    return len(_elim_py.eliminate(_int_rows(m.to_rows()), m.cols))
 
 
 def kernel(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Canonical nullspace basis: one vector per rref free column, with a 1
     at the free column and the negated rref column above the pivots."""
-    int_rows = _dedupe_nonzero(_int_rows(m.to_rows()))
+    int_rows = _int_rows(m.to_rows())
     pivots = _elim_py.eliminate(int_rows, m.cols)
     return _kernel_from_reduced(int_rows, pivots, m.cols)
 
@@ -193,34 +177,26 @@ def solve(m: RationalMatrix, b: Sequence[Fraction | int]) -> SolveOutcome:
     """Solve M x = b exactly, classifying the solution set."""
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    return solve_many(m, [b])[0]
+    m_rows = m.to_rows()
+    b = [Fraction(v) for v in b]
+    int_rows = _int_rows(m_rows, b)
+    pivots = _elim_py.eliminate(int_rows, m.cols)
+    kernel_basis = tuple(_kernel_from_reduced(int_rows, pivots, m.cols))
+    # the rows past the pivot rows are zero on every column of M
+    if any(row[m.cols] for row in int_rows[len(pivots):]):
+        return SolveOutcome("inconsistent", None, kernel_basis, _first_inconsistent_row(m_rows, b, m.cols))
+    x = [Fraction(0)] * m.cols
+    for k, c in enumerate(pivots):
+        x[c] = Fraction(int_rows[k][m.cols], int_rows[k][c])
+    if kernel_basis:
+        return SolveOutcome("underdetermined", tuple(x), kernel_basis)
+    return SolveOutcome("unique", tuple(x), ())
 
 
 def solve_many(m: RationalMatrix, bs: Sequence[Sequence[Fraction | int]]) -> list[SolveOutcome]:
-    """Solve M x = b for several right-hand sides with one elimination."""
-    m_rows = m.to_rows()
-    cols = [[Fraction(v) for v in b] for b in bs]
-    for b in cols:
-        if len(b) != m.rows:
-            raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    int_rows = _dedupe_nonzero(_int_rows(m_rows, cols))
-    pivots = _elim_py.eliminate(int_rows, m.cols)
-    kernel_basis = tuple(_kernel_from_reduced(int_rows, pivots, m.cols))
-    zero_rows = int_rows[len(pivots):]  # zero on every column of M
-    outcomes = []
-    for j, b in enumerate(cols):
-        if any(row[m.cols + j] for row in zero_rows):
-            bad = _first_inconsistent_row(m_rows, b, m.cols)
-            outcomes.append(SolveOutcome("inconsistent", None, kernel_basis, bad))
-            continue
-        x = [Fraction(0)] * m.cols
-        for k, c in enumerate(pivots):
-            x[c] = Fraction(int_rows[k][m.cols + j], int_rows[k][c])
-        if kernel_basis:
-            outcomes.append(SolveOutcome("underdetermined", tuple(x), kernel_basis))
-        else:
-            outcomes.append(SolveOutcome("unique", tuple(x), ()))
-    return outcomes
+    """``solve`` for each right-hand side; kept because the benchmark's
+    tracer wraps it by name."""
+    return [solve(m, b) for b in bs]
 
 
 def _first_inconsistent_row(m_rows: list[list[Fraction]], b: list[Fraction], ncols: int) -> int:
@@ -366,3 +342,34 @@ class RowSpace:
                 vec[k] = Fraction(a, row[c])
             out.append(tuple(vec))
         return out
+
+
+class SpanCoordinates:
+    """Coordinates of sparse vectors in the span of fixed basis vectors.
+
+    Each basis vector, extended by a 1 in a marker column of its own, goes
+    into one ``RowSpace``; the basis is independent exactly when every pivot
+    lies in a data column (``0..ncols-1``).  A vector extended by a 1 in the
+    unit column reduces to zero on the data columns exactly when it lies in
+    the span; the marker columns then hold minus its coordinates, scaled by
+    the unit entry.  Markers run in reverse basis order, so that over a
+    dependent basis the coordinates are those of ``solve``: zero at each
+    vector that depends on earlier ones.
+    """
+
+    def __init__(self, basis: Sequence[Mapping[int, Fraction | int]], ncols: int):
+        self.ncols = ncols
+        self.unit = ncols + len(basis)
+        self._space = RowSpace(self.unit + 1)
+        for k, vec in enumerate(basis):
+            self._space.add({**vec, self.unit - 1 - k: 1})
+        self.independent = all(c < ncols for c in self._space._rows)
+
+    def coords(self, vec: Mapping[int, Fraction | int]) -> dict[int, Fraction] | None:
+        """``{basis position: coefficient}`` of vec, zeros dropped, or None
+        when vec lies outside the span."""
+        v = self._space._reduce({**vec, self.unit: 1})
+        u = v.pop(self.unit)
+        if any(c < self.ncols for c in v):
+            return None
+        return {self.unit - 1 - c: Fraction(-a, u) for c, a in v.items()}

@@ -1,5 +1,6 @@
 """Centralizers, closures, cohomology, inner reconstruction, scans."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from wittkit.derivations import (
     submodule_closure,
     verify_bracket_identities,
 )
+from wittkit import linalg
+from wittkit.cli import main
 from wittkit.derivations import _action_columns, _derived_codomain, _stacked_rows, _term_key
 from wittkit.fields import (
     L_basis,
@@ -34,6 +37,7 @@ from wittkit.fields import (
 from wittkit.linalg import RationalMatrix, RowSpace, solve, solve_sparse
 from wittkit.poly import Monomial, Polynomial, grlex_key
 from wittkit.suites import random_field
+from wittkit.textio import field_to_obj
 
 
 def span(max_var, lo, hi, mode="strict"):
@@ -241,9 +245,11 @@ def test_h1_bases_satisfy_cocycle_identity(n, module):
     gens = sl_basis(n)
     M = module.dim
     report = h1_report(n, module, include_bases=True)
-    gen_span = SubspaceSpec(gens, TruncationWindow(n, 0, 0, "strict"))
+    deg0 = span(n, 0, 0)   # a full window: coordinates are read off, not solved for
+    cols = [deg0.coords(g) for g in gens]
+    gen_matrix = RationalMatrix.from_rows([[col[t] for col in cols] for t in range(deg0.dim)])
     pairs = [(p, q) for p in range(len(gens)) for q in range(p + 1, len(gens))]
-    lams = {(p, q): gen_span.coords(gens[p].bracket(gens[q])) for p, q in pairs}
+    lams = {(p, q): solve(gen_matrix, deg0.coords(gens[p].bracket(gens[q]))).particular for p, q in pairs}
 
     def is_cocycle(vec):
         c = [module.field_from_coords(vec[k * M : (k + 1) * M]) for k in range(len(gens))]
@@ -309,6 +315,33 @@ def test_derivation_spec_skips_unexpandable_pairs():
     gens = [VectorField.direction(1), term(1, x1=2)]
     spec = DerivationSpec(gens, [VectorField.zero(), VectorField.zero()])
     assert spec.skipped_pairs == ((0, 1),)
+
+
+# Golden cases, recorded while validation still solved densely.  [x1 d2, x2 d1]
+# = x1 d1 - x2 d2 stays in these generators' terms but leaves their span;
+# [x1 d2, d1] = -d2 leaves their terms.
+SKIP_GENS = [term(2, x1=1), term(1, x2=1), euler(2), VectorField.direction(1)]
+
+
+def test_derivation_spec_skips_pairs_of_both_kinds():
+    spec = DerivationSpec.from_ad(term(2, x1=2), SKIP_GENS)
+    assert spec.skipped_pairs == ((0, 1), (0, 3))
+
+
+def test_derivation_spec_golden_messages():
+    zero = VectorField.zero()
+    with pytest.raises(DerivationSpecError) as info:
+        DerivationSpec([term(2, x1=1), term(1, x2=1), term(2, x1=1).scale(2)], [zero] * 3)
+    assert str(info.value) == "generators are linearly dependent"
+    # each failure comes after a skipped pair (1, 2): one whose bracket leaves
+    # the span, and one whose bracket leaves the terms ([d1, x1 d2] = d2)
+    for gens, values in (
+        (SKIP_GENS[:3], [zero, zero, term(1, x1=1)]),
+        ([VectorField.direction(1), term(2, x1=1), term(1, x1=1)], [term(2, x2=1), zero, zero]),
+    ):
+        with pytest.raises(DerivationSpecError) as info:
+            DerivationSpec(gens, values)
+        assert str(info.value) == "cocycle identity fails on generator pair (1, 3)"
 
 
 # -- solve_inner --------------------------------------------------------------
@@ -607,6 +640,20 @@ def test_public_results_hold_fractions():
     assert fractions_only([search.coords(euler(3)), HAND_PICKED.coords(euler(3))])
 
 
+def test_hand_picked_coords_golden():
+    # recorded while hand-picked bases were still solved densely
+    w = euler(3).scale(3) + term(3, x1=1, x3=1) - VectorField.direction(2)
+    assert HAND_PICKED.coords(w) == (3, 0, 1, Fraction(-1, 5))
+    with pytest.raises(ClosureViolation) as info:
+        HAND_PICKED.coords(term(2, x1=1))
+    assert str(info.value) == (
+        "field is outside the span of the basis: VectorField<(Polynomial('x1')) d2>"
+    )
+    with pytest.raises(ClosureViolation) as info:
+        SubspaceSpec([], TruncationWindow(2, 0, 0, "strict")).coords(term(1, x1=1))
+    assert str(info.value) == "field is outside the (zero) span: VectorField<(Polynomial('x1')) d1>"
+
+
 # -- verify_bracket_identities ------------------------------------------------
 
 
@@ -689,4 +736,51 @@ def test_scan_propagates_failures_with_n():
     with pytest.raises(ScanError) as err:
         stabilization_scan("solve-inner", [2, 3], from_field=w, generators="L", degree_max=2)
     assert err.value.n == 2
+
+
+# -- no dense solving on production paths -------------------------------------
+
+
+@pytest.fixture
+def no_dense_solving(monkeypatch):
+    """Make the dense oracle functions raise, so that any production path
+    still reaching them fails."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solving on a production path")
+
+    for name in ("rank", "solve", "solve_many", "kernel", "rref"):
+        monkeypatch.setattr(linalg, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centralizer", "--n", "3", "--max-var", "3", "--deg-max", "2"],
+        ["h1", "--n", "2", "--k", "1"],
+        ["solve-inner", "--n", "2", "--from-ad", "d1 + x1^2 d2"],
+        ["solve-inner", "--gens", "sl", "--n", "3", "--from-ad", "x1 d1 + x2 d2 + x3 d3",
+         "--deg-min", "0", "--deg-max", "1"],
+        ["solve-inner", "--n", "2", "--spec", "SPEC"],
+        ["closure", "x1 d1", "--n", "2", "--deg-min", "0", "--deg-max", "1"],
+        ["stabilize", "--task", "solve-inner", "--n-from", "2", "--n-to", "3", "--from-ad", "x1^2 d2"],
+    ],
+    ids=["centralizer", "h1", "solve-inner-L", "solve-inner-sl", "solve-inner-spec", "closure", "stabilize"],
+)
+def test_cli_paths_do_not_solve_densely(argv, no_dense_solving, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    w = term(1, x1=1, x2=1) + VectorField.direction(2)
+    spec.write_text(json.dumps({
+        "generators": [field_to_obj(g) for g in SKIP_GENS],
+        "values": [field_to_obj(g.bracket(w)) for g in SKIP_GENS],
+    }))
+    assert main([str(spec) if a == "SPEC" else a for a in argv]) == 0
+    capsys.readouterr()
+
+
+def test_api_paths_do_not_solve_densely(no_dense_solving):
+    # sl_2 acts trivially on the Euler line and equals its own derived algebra
+    report = h1_report(2, SubspaceSpec([euler(2)], TruncationWindow(2, 0, 0, "strict")))
+    assert (report.z1, report.b1) == (0, 0)
+    assert DerivationSpec.from_ad(term(2, x1=2), L_basis(3)).skipped_pairs == ()
+    assert HAND_PICKED.coords(euler(3)) == (1, 0, 0, 0)
 

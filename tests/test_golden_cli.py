@@ -2,8 +2,9 @@
 
 The stdout cases were recorded before the stacked systems moved to the
 sparse block solver, the error cases before the systems were assembled
-from the structure constants; any change to these bytes is a behaviour
-change.
+from the structure constants, and the cases over SKIP_GENS before
+derivation specs were validated without a dense solve; any change to these
+bytes is a behaviour change.
 """
 
 import json
@@ -26,16 +27,31 @@ from wittkit.textio import field_to_obj, parse_field
 MIXED_GENS = ["d1 + x2 d1", "d2", "x1 d2 + x1^2 d2", "x2 d1", "x1 d1 - x2 d2 + x1*x2 d1"]
 
 
-def write_ad_spec(path, w):
-    """A derivation spec over MIXED_GENS holding the values g -> [g, w]."""
-    gens = [parse_field(g) for g in MIXED_GENS]
-    field = parse_field(w)
+# [x1 d2, x2 d1] = x1 d1 - x2 d2 stays in these generators' terms but leaves
+# their span, [x1 d2, d1] = -d2 leaves their terms: both pairs are skipped
+SKIP_GENS = ["x1 d2", "x2 d1", "x1 d1 + x2 d2", "d1"]
+
+
+def write_spec(path, gens, values):
+    """A derivation spec file over ``gens``; ``values`` is a list of fields,
+    or one field w standing for the values g -> [g, w]."""
+    gens = [parse_field(g) for g in gens]
+    if isinstance(values, str):
+        field = parse_field(values)
+        values = [g.bracket(field) for g in gens]
+    else:
+        values = [parse_field(v) for v in values]
     doc = {
         "generators": [field_to_obj(g) for g in gens],
-        "values": [field_to_obj(g.bracket(field)) for g in gens],
+        "values": [field_to_obj(v) for v in values],
     }
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def spec_argv(argv, tmp_path):
+    """argv with each tuple (gens, values) replaced by a spec file's path."""
+    return [write_spec(tmp_path / "spec.json", *a) if isinstance(a, tuple) else a for a in argv]
 
 
 INCONSISTENT_JSON = (
@@ -64,13 +80,13 @@ CASES = [
         "inconsistent: coordinate d1 of the image of generator #7 cannot be matched\n",
     ),
     (
-        ["solve-inner", "--n", "2", "--spec", ("x1^2 d2 + x2 d1",), "--deg-max", "2"],
+        ["solve-inner", "--n", "2", "--spec", (MIXED_GENS, "x1^2 d2 + x2 d1"), "--deg-max", "2"],
         0,
         "x2 d1 + x1^2 d2\nkernel dimension: 4\nkernel: d3\nkernel: x3 d3\n"
         "kernel: x3^2 d3\nkernel: x3^3 d3\n",
     ),
     (
-        ["solve-inner", "--n", "2", "--spec", ("d2 + x1^2 d1 + x2^3 d2",),
+        ["solve-inner", "--n", "2", "--spec", (MIXED_GENS, "d2 + x1^2 d1 + x2^3 d2"),
          "--deg-min", "0", "--deg-max", "3"],
         3,
         "inconsistent: coordinate x1 d1 of the image of generator #2 cannot be matched\n",
@@ -82,14 +98,29 @@ CASES = [
         "x1*x3^2 d1 + x2*x3^2 d2\nx3^3 d3\n",
     ),
     (["h1", "--n", "2", "--k", "2"], 0, "0\n"),
+    (
+        ["solve-inner", "--n", "2", "--spec", (SKIP_GENS, "x1*x2 d1 + d2")],
+        0,
+        "x1*x2 d1 + d2\nkernel dimension: 4\nkernel: d3\nkernel: x3 d3\nkernel: x3^2 d3\n"
+        "kernel: x3^3 d3\n",
+    ),
+    (
+        ["solve-inner", "--n", "2", "--spec", (SKIP_GENS, "x1*x2 d1 + d2"), "--format", "json"],
+        0,
+        '{"certificate": null, "field": {"components": {"1": [{"coeff": "1", "monomial": '
+        '{"1": 1, "2": 1}}], "2": [{"coeff": "1", "monomial": {}}]}}, "kernel": '
+        '[{"components": {"3": [{"coeff": "1", "monomial": {}}]}}, '
+        '{"components": {"3": [{"coeff": "1", "monomial": {"3": 1}}]}}, '
+        '{"components": {"3": [{"coeff": "1", "monomial": {"3": 2}}]}}, '
+        '{"components": {"3": [{"coeff": "1", "monomial": {"3": 3}}]}}], '
+        '"kind": "underdetermined"}\n',
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, code, expected", CASES, ids=[f"{c[0][0]}-{k}" for k, c in enumerate(CASES)])
 def test_cli_golden_stdout(argv, code, expected, tmp_path, capsys):
-    # a tuple in argv stands for a spec file holding ad(w) over MIXED_GENS
-    argv = [write_ad_spec(tmp_path / "spec.json", a[0]) if isinstance(a, tuple) else a for a in argv]
-    assert main(argv) == code
+    assert main(spec_argv(argv, tmp_path)) == code
     assert capsys.readouterr().out == expected
 
 
@@ -118,13 +149,26 @@ ERROR_CASES = [
         "",
         "error (window): module action escapes the module: term x1 d3 lies outside the window\n",
     ),
+    (
+        ["solve-inner", "--n", "2", "--spec", (["x1 d2", "x2 d1", "2 x1 d2"], ["0", "0", "0"])],
+        3,
+        "",
+        "error (derivation-spec): generators are linearly dependent\n",
+    ),
+    (
+        # pair (1, 2) is skipped, its bracket leaving the span, then (1, 3) fails
+        ["solve-inner", "--n", "2", "--spec", (SKIP_GENS[:3], ["0", "0", "x1 d1"])],
+        3,
+        "",
+        "error (derivation-spec): cocycle identity fails on generator pair (1, 3)\n",
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, code, out, err", ERROR_CASES,
                          ids=[f"{c[0][0]}-{k}" for k, c in enumerate(ERROR_CASES)])
-def test_cli_golden_errors(argv, code, out, err, capsys):
-    assert main(argv) == code
+def test_cli_golden_errors(argv, code, out, err, tmp_path, capsys):
+    assert main(spec_argv(argv, tmp_path)) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
 

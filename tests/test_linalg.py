@@ -6,7 +6,17 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wittkit.linalg import RationalMatrix, RowSpace, kernel, rank, rref, solve, solve_many, solve_sparse
+from wittkit.linalg import (
+    RationalMatrix,
+    RowSpace,
+    SpanCoordinates,
+    kernel,
+    rank,
+    rref,
+    solve,
+    solve_many,
+    solve_sparse,
+)
 
 
 def rows_of(m):
@@ -285,3 +295,63 @@ def test_solve_sparse_shape_checks():
         solve_sparse([{0: 1}], 1, [1, 2])
     with pytest.raises(ValueError):
         solve_sparse([{2: 1}], 2)
+
+
+def random_entry(rng):
+    if rng.randrange(4) == 0:
+        return rng.choice((1, -1)) * rng.randint(10**40, 10**45)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def random_span_case(rng):
+    """Seeded sparse basis vectors mixing fresh vectors with duplicates, zero
+    vectors and rational multiples, and probes that are zero, random (mostly
+    outside the span) or combinations of the basis."""
+    ncols = rng.randint(0, 7)
+
+    def fresh():
+        cols = rng.sample(range(ncols), rng.randint(1, min(3, ncols))) if ncols else []
+        return {c: random_entry(rng) for c in cols}
+
+    basis = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            basis.append({})
+        elif kind == 1 and basis:
+            basis.append(dict(rng.choice(basis)))
+        elif kind == 2 and basis:
+            f = Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 4))
+            basis.append({c: f * v for c, v in rng.choice(basis).items()})
+        else:
+            basis.append(fresh())
+    combination = {}
+    for vec in basis:
+        f = random_entry(rng)
+        for c, v in vec.items():
+            combination[c] = combination.get(c, 0) + f * v
+    return basis, ncols, [{}, fresh(), combination]
+
+
+def test_span_coordinates_match_dense_solve():
+    rng = random.Random(431)
+    seen = {"independent": 0, "dependent": 0, "inside": 0, "outside": 0}
+    for _ in range(600):
+        basis, ncols, probes = random_span_case(rng)
+        dim = len(basis)
+        m = RationalMatrix(ncols, dim, tuple(Fraction(vec.get(r, 0)) for r in range(ncols) for vec in basis))
+        ours = SpanCoordinates(basis, ncols)
+        outcomes = [solve(m, [probe.get(r, 0) for r in range(ncols)]) for probe in probes]
+        assert ours.independent == (outcomes[0].kernel_basis == ())
+        seen["independent" if ours.independent else "dependent"] += 1
+        for probe, outcome in zip(probes, outcomes):
+            coords = ours.coords(probe)
+            if outcome.kind == "inconsistent":
+                assert coords is None
+                seen["outside"] += 1
+            else:
+                assert coords == {k: x for k, x in enumerate(outcome.particular) if x}
+                assert all(type(x) is Fraction for x in coords.values())
+                seen["inside"] += 1
+    assert min(seen.values()) >= 150, seen
+
