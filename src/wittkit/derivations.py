@@ -10,11 +10,22 @@ structure constants, as a term map with int coefficients wherever the
 inputs are integral, and is read into sparse coordinates
 ``{basis position: coefficient}``; no system is assembled through the
 generic ``VectorField.bracket``.  Every stacked system (centralizer, H^1
-cocycles and coboundaries, inner reconstruction) is built once as sparse
+cocycles and coboundaries, inner reconstruction) is built as sparse
 labelled rows and solved by ``linalg.solve_sparse``, which reduces the rows
 one at a time into a sparse rref; since the reduced row echelon form is
 unique, the answer is identical to the one-big-matrix computation, just
-much cheaper, whatever the window or the generators.  Coordinates over a
+much cheaper, whatever the window or the generators.
+
+The term x^a dj has torus weight a - e_j and brackets add weights, so when
+every actor is a weight vector (all the standard families are) and the
+search space is a full window, the centralizer and inner systems are
+block-diagonal by column weight.  ``_weight_blocks`` splits them, and each
+block is solved in its own ``RowSpace``: kernels merge by free column, and
+the certificate is the least of the blocks' first unsolvable equations.  A
+block on which a torus actor acts by a nonzero scalar has no kernel; with
+the derived codomain it is never assembled, unless a prescribed value lands
+in it.  Any other case (non-weight actors, a hand-picked basis, an explicit
+codomain) is one block holding every column.  Coordinates over a
 hand-picked basis and expansions over a generating set are read off
 ``linalg.SpanCoordinates``, a ``RowSpace`` too.  Results (kernel vectors,
 particular solutions, H^1 bases) hold Fractions.
@@ -27,7 +38,7 @@ such terms (exploratory use only).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,12 +48,16 @@ from .fields import (
     Term,
     TruncationWindow,
     VectorField,
+    Weight,
     WindowViolation,
     bracket_terms,
     euler,
     exponent_terms,
+    field_weights,
     format_term,
     sl_basis,
+    term_weight,
+    torus_coeffs,
 )
 from .linalg import RationalMatrix, RowSpace
 from .poly import Monomial, Polynomial, Rational, grlex_key
@@ -105,29 +120,24 @@ class SubspaceSpec:
                         direction,
                     )
         self._terms = window.term_basis()
-        self._index = {t: k for k, t in enumerate(self._terms)}
-        self._full = self._is_full_window()
-        if not self._full:
-            index = self._index
-            self._span = linalg.SpanCoordinates(
-                [{index[t]: c for t, c in _terms_of(w).items()} for w in self.basis], len(index)
-            )
-            if not self._span.independent:
-                raise ValueError("basis elements are linearly dependent")
+        self._index = index = {t: k for k, t in enumerate(self._terms)}
+        self._full = False
+        self._span = linalg.SpanCoordinates(
+            [{index[t]: c for t, c in _terms_of(w).items()} for w in self.basis], len(index)
+        )
+        if not self._span.independent:
+            raise ValueError("basis elements are linearly dependent")
 
     @staticmethod
     def span_window(window: TruncationWindow) -> SubspaceSpec:
-        basis = [VectorField.term(mono, i) for mono, i in window.term_basis()]
-        return SubspaceSpec(basis, window)
-
-    def _is_full_window(self) -> bool:
-        if len(self.basis) != len(self._terms):
-            return False
-        for w, term in zip(self.basis, self._terms):
-            mono, direction = term
-            if w.term_count() != 1 or w.coeff(mono, direction) != 1:
-                return False
-        return True
+        # the term basis lies in the window and is the full window by construction
+        spec = SubspaceSpec.__new__(SubspaceSpec)
+        spec.window = window
+        spec._terms = window.term_basis()
+        spec.basis = tuple(VectorField.term(mono, i) for mono, i in spec._terms)
+        spec._index = {t: k for k, t in enumerate(spec._terms)}
+        spec._full = True
+        return spec
 
     @property
     def dim(self) -> int:
@@ -185,11 +195,11 @@ class SubspaceSpec:
     def field_from_coords(self, vec: Sequence[Fraction]) -> VectorField:
         if len(vec) != len(self.basis):
             raise ValueError(f"coordinate length {len(vec)} != dim {len(self.basis)}")
-        out = VectorField.zero()
-        for c, b in zip(vec, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
+        return self._field({k: c for k, c in enumerate(vec) if c})
+
+    def _field(self, coords: Mapping[int, Rational]) -> VectorField:
+        """The combination of basis elements with sparse coordinates."""
+        return sum((self.basis[k].scale(c) for k, c in sorted(coords.items())), VectorField.zero())
 
     def __repr__(self) -> str:
         kind = "window span" if self._full else f"{len(self.basis)}-dim subspace"
@@ -205,23 +215,68 @@ class SubspaceSpec:
 Label = tuple[int, Term]   # (generator index, codomain term) naming one equation
 
 
+def _label_key(label: Label) -> tuple:
+    return (label[0], _term_key(label[1]))
+
+
+def _weight_blocks(
+    actors: Sequence[VectorField],
+    search: SubspaceSpec,
+    derived: bool,
+    values: Sequence[VectorField] = (),
+) -> tuple[dict, Callable[[int, Term], Weight | None]]:
+    """The search columns in blocks that no stacked row mixes, each in global
+    column order, and the key naming the block of a row label.
+
+    The blocks are the column weights when the codomain is the derived one
+    (no image escapes it), the search space is a full window and every actor
+    is a weight vector, of weight w_a: the row (a, t) only touches columns
+    of weight wt(t) - w_a.  A torus actor c acts on block v by the scalar
+    <c, v>; a block where some <c, v> is nonzero has no kernel, and unless a
+    value term of some generator a has weight v + w_a it contributes
+    nothing, so it is left out.  Otherwise one block, keyed None, holds every
+    column, so that a strict codomain names the first escaping term in
+    global column order.
+    """
+    weights = [field_weights(g) for g in actors]
+    if not (derived and search.is_full_window and all(len(w) == 1 for w in weights)):
+        return {None: range(search.dim)}, lambda a, term: None
+    minus = [[(v, -e) for v, e in w.pop()] for w in weights]
+
+    def key(a: int, term: Term) -> Weight:
+        return term_weight(*term, minus[a])
+
+    blocks: dict[Weight, list[int]] = {}
+    for col, term in enumerate(search._terms):
+        blocks.setdefault(term_weight(*term), []).append(col)
+    torus = [c for c in map(torus_coeffs, actors) if c]
+    landed = {key(a, (m, i)) for a, v in enumerate(values) for m, i, _ in v.terms()}
+    kept = {
+        nu: cols for nu, cols in blocks.items()
+        if nu in landed or not any(sum(c.get(v, 0) * e for v, e in nu) for c in torus)
+    }
+    return kept, key
+
+
 def _stacked_rows(
     gens: Sequence[VectorField],
     search: SubspaceSpec,
     codomain_window: TruncationWindow,
+    cols: Sequence[int],
 ) -> dict[Label, dict[int, Rational]]:
-    """Sparse rows of w -> ([g_1, w], ..., [g_k, w]) over the search basis,
-    keyed by label; each row maps search basis positions to coefficients."""
+    """Sparse rows of w -> ([g_1, w], ..., [g_k, w]) over the search basis
+    positions ``cols``, taken in order, keyed by label; each row maps
+    positions in ``cols`` to coefficients."""
     rows: dict[Label, dict[int, Rational]] = {}
     contains = codomain_window.contains_term
     gen_terms = [exponent_terms(g) for g in gens]
-    for col, base in enumerate(search.basis):
-        base_terms = exponent_terms(base)
+    for local, col in enumerate(cols):
+        base_terms = exponent_terms(search.basis[col])
         for a, g in enumerate(gen_terms):
             outside = []
             for term, coeff in bracket_terms(g, base_terms).items():
                 if contains(*term):
-                    rows.setdefault((a, term), {})[col] = coeff
+                    rows.setdefault((a, term), {})[local] = coeff
                 else:
                     outside.append(term)
             if outside and codomain_window.mode == "strict":
@@ -234,6 +289,59 @@ def _stacked_rows(
                     direction,
                 )
     return rows
+
+
+def _solve_stacked(
+    gens: Sequence[VectorField],
+    values: Sequence[VectorField],
+    search: SubspaceSpec,
+    codomain: TruncationWindow | None = None,
+) -> tuple[tuple[VectorField, ...], VectorField, Label | None]:
+    """Solve [g_a, w] = values[a] for w in span(search) (see ``solve_inner``)
+    block by block: the canonical kernel, the canonical particular solution,
+    and the label of the first unsolvable equation in (generator, term)
+    order, or None."""
+    window = codomain or _derived_codomain(gens, search)
+    blocks, key = _weight_blocks(gens, search, codomain is None, values)
+    systems = {nu: _stacked_rows(gens, search, window, cols) for nu, cols in blocks.items()}
+
+    # right-hand side: coordinates of the prescribed values; a value no search
+    # element reaches gets a row with no entries
+    rhs: dict[Label, Fraction] = {}
+    for a, value in enumerate(values):
+        for mono, direction, coeff in value.terms():
+            if not window.contains_term(mono, direction):
+                if window.mode == "strict":
+                    raise WindowViolation(
+                        f"prescribed value term {format_term(mono, direction)} lies outside "
+                        f"the codomain window",
+                        mono,
+                        direction,
+                    )
+                continue
+            label = (a, (mono, direction))
+            rhs[label] = coeff
+            systems.setdefault(key(*label), {}).setdefault(label, {})
+
+    # the blocks share no column: kernels merge by free column (the last
+    # nonzero entry of a canonical kernel vector), and the first unsolvable
+    # equation is the least of the blocks' first ones
+    kernel, x, bad = [], {}, None
+    for nu, rows in systems.items():
+        cols = blocks.get(nu, ())
+        labels = sorted(rows, key=_label_key)
+        outcome = linalg.solve_sparse(
+            [rows[lab] for lab in labels], len(cols), [rhs.get(lab, 0) for lab in labels]
+        )
+        for vec in outcome.kernel_basis:
+            coords = {cols[k]: v for k, v in enumerate(vec) if v}
+            kernel.append((max(coords), coords))
+        if outcome.kind == "inconsistent":
+            first = labels[outcome.bad_row]
+            bad = first if bad is None else min(bad, first, key=_label_key)
+        else:
+            x.update((c, v) for c, v in zip(cols, outcome.particular) if v)
+    return tuple(search._field(coords) for _, coords in sorted(kernel)), search._field(x), bad
 
 
 def ad_matrix(w: VectorField, domain: SubspaceSpec, codomain: SubspaceSpec) -> RationalMatrix:
@@ -274,9 +382,7 @@ def centralizer(actors: Sequence[VectorField], ambient: SubspaceSpec) -> list[Ve
     basis element, so returned elements commute with the actors exactly even
     when the actors shift degrees out of the ambient window.
     """
-    rows = _stacked_rows(actors, ambient, _derived_codomain(actors, ambient))
-    outcome = linalg.solve_sparse(list(rows.values()), ambient.dim)
-    return [ambient.field_from_coords(vec) for vec in outcome.kernel_basis]
+    return list(_solve_stacked(actors, (), ambient)[0])
 
 
 def submodule_closure(v: VectorField, n: int, ambient: SubspaceSpec) -> list[VectorField]:
@@ -515,36 +621,11 @@ def solve_inner(
     it.  The kernel of the system is exactly the centralizer of the
     generators inside the search space.
     """
-    gens = spec.generators
-    window = codomain or _derived_codomain(gens, search)
-    rows = _stacked_rows(gens, search, window)
-
-    # right-hand side: coordinates of the prescribed values; a value no search
-    # element reaches gets a row with no entries
-    rhs: dict[Label, Fraction] = {}
-    for a, value in enumerate(spec.values):
-        for mono, direction, coeff in value.terms():
-            if not window.contains_term(mono, direction):
-                if window.mode == "strict":
-                    raise WindowViolation(
-                        f"prescribed value term {format_term(mono, direction)} lies outside "
-                        f"the codomain window",
-                        mono,
-                        direction,
-                    )
-                continue
-            rhs[(a, (mono, direction))] = coeff
-            rows.setdefault((a, (mono, direction)), {})
-
-    labels = sorted(rows, key=lambda lab: (lab[0], _term_key(lab[1])))
-    outcome = linalg.solve_sparse(
-        [rows[lab] for lab in labels], search.dim, [rhs.get(lab, 0) for lab in labels]
-    )
-    kernel = tuple(search.field_from_coords(vec) for vec in outcome.kernel_basis)
-    if outcome.kind == "inconsistent":
-        a, (mono, direction) = labels[outcome.bad_row]
+    kernel, field, bad = _solve_stacked(spec.generators, spec.values, search, codomain)
+    if bad is not None:
+        a, (mono, direction) = bad
         return InnerSolveResult("inconsistent", None, kernel, InnerObstruction(a, mono, direction))
-    return InnerSolveResult(outcome.kind, search.field_from_coords(outcome.particular), kernel)
+    return InnerSolveResult("underdetermined" if kernel else "unique", field, kernel)
 
 
 def verify_bracket_identities(w: VectorField, i: int, j: int) -> bool:

@@ -313,6 +313,37 @@ def bracket_terms(u: ExponentTerms, w: ExponentTerms) -> dict[Term, Rational]:
     return out
 
 
+Weight = tuple[tuple[int, int], ...]   # sorted nonzero (variable, entry) pairs
+
+
+def term_weight(mono: Monomial, direction: int, shift: Iterable[tuple[int, int]] = ()) -> Weight:
+    """The torus weight a - e_j of the term x^a dj, plus ``shift``.  The
+    diagonal fields act by [x_i di, x^a dj] = (a_i - [i = j]) x^a dj, and
+    brackets add weights."""
+    w = dict(mono.pairs)
+    w[direction] = w.get(direction, 0) - 1
+    for v, e in shift:
+        w[v] = w.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in w.items() if e))
+
+
+def field_weights(w: VectorField) -> set[Weight]:
+    """The weights of w's terms: one exactly when w is a weight vector."""
+    return {term_weight(m, i) for m, i, _ in w.terms()}
+
+
+def torus_coeffs(w: VectorField) -> dict[int, Rational] | None:
+    """{i: c_i} when w = sum c_i x_i di lies in the torus, else None; w then
+    acts on the terms of weight v by the scalar sum c_i v_i.  Integral
+    coefficients become ints."""
+    out = {}
+    for m, i, c in w.terms():
+        if m.pairs != ((i, 1),):
+            return None
+        out[i] = c.numerator if c.denominator == 1 else c
+    return out
+
+
 def _lowered(exps: dict[int, int], var: int) -> tuple[tuple[int, int], ...]:
     """Canonical pairs of x^exps / x_var (x_var divides x^exps)."""
     out = exps.copy()

@@ -221,15 +221,15 @@ def solve_sparse(
     outcome equals ``solve`` on the densified system, with ``rhs``
     defaulting to zero.
     """
-    for row in rows:
-        if any(not 0 <= c < ncols for c in row):
-            raise ValueError(f"row {row} has a column outside 0..{ncols - 1}")
     rhs = [0] * len(rows) if rhs is None else rhs
     if len(rhs) != len(rows):
         raise ValueError(f"rhs length {len(rhs)} != rows {len(rows)}")
     space = RowSpace(ncols + 1)
     bad_row = None
     for i, (row, v) in enumerate(zip(rows, rhs)):
+        # ``add`` range-checks every other column
+        if ncols in row:
+            raise ValueError(f"row {row} has a column outside 0..{ncols - 1}")
         if space.add({**row, ncols: v}) and bad_row is None and ncols in space._rows:
             bad_row = i
     x = [Fraction(0)] * ncols
@@ -292,7 +292,7 @@ class RowSpace:
     def _reduce(self, vec: Sequence[Fraction | int] | Mapping[int, Fraction | int]) -> dict[int, int]:
         """The integer-scaled vector with every stored pivot column cleared."""
         if isinstance(vec, Mapping):
-            if any(not 0 <= c < self.ncols for c in vec):
+            if vec and (min(vec) < 0 or max(vec) >= self.ncols):
                 raise ValueError(f"vector {dict(vec)} has a column outside 0..{self.ncols - 1}")
             items = vec.items()
         else:

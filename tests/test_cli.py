@@ -175,3 +175,24 @@ def test_verify_failure_exits_1_with_counterexample(capsys, monkeypatch):
     assert "FAIL stub.bad" in out
     assert "x1 d2; x2 d1" in out
     assert "stub.unreached" not in out
+
+
+def test_suite_names_match_the_suites():
+    from wittkit import cli, suites
+
+    assert cli.SUITE_NAMES == tuple(suites.SUITES)
+
+
+def test_cli_import_leaves_suites_unloaded():
+    # only ``verify`` needs the suites; a fresh interpreter shows what import loads
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittkit
+
+    env = {**os.environ, "PYTHONPATH": str(Path(wittkit.__file__).parents[1])}
+    code = "import sys, wittkit.cli; print('wittkit.suites' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

@@ -463,7 +463,7 @@ def test_solve_inner_general_search_subspace():
 
 def stacked_system(gens, search, values=()):
     """The rows and rhs of [g, w] = value, assembled and ordered as solve_inner does."""
-    rows = _stacked_rows(gens, search, _derived_codomain(gens, search))
+    rows = _stacked_rows(gens, search, _derived_codomain(gens, search), range(search.dim))
     rhs = {}
     for a, value in enumerate(values):
         for m, i, c in value.terms():
@@ -580,7 +580,7 @@ def stacked_row_cases():
 @pytest.mark.parametrize("gens, search, window", [c[1:] for c in stacked_row_cases()],
                          ids=[c[0] for c in stacked_row_cases()])
 def test_stacked_rows_match_generic_bracket(gens, search, window):
-    got = escape_or_result(_stacked_rows, gens, search, window)
+    got = escape_or_result(_stacked_rows, gens, search, window, range(search.dim))
     assert got == oracle_stacked_rows(gens, search, window)
     if window.mode == "strict" and window != _derived_codomain(gens, search):
         assert got[0] == "escape"   # the small strict windows do cut brackets
@@ -628,7 +628,8 @@ def test_public_results_hold_fractions():
     search = span(4, -1, 1)
     basis = centralizer(sl_basis(3), search)
     assert basis and field_fractions(basis)
-    rows = list(_stacked_rows(sl_basis(3), search, _derived_codomain(sl_basis(3), search)).values())
+    rows = _stacked_rows(sl_basis(3), search, _derived_codomain(sl_basis(3), search), range(search.dim))
+    rows = list(rows.values())
     outcome = solve_sparse(rows, search.dim)
     assert outcome.kernel_basis and fractions_only(outcome.kernel_basis)
     assert fractions_only([outcome.particular])

@@ -2,9 +2,11 @@
 
 The stdout cases were recorded before the stacked systems moved to the
 sparse block solver, the error cases before the systems were assembled
-from the structure constants, and the cases over SKIP_GENS before
-derivation specs were validated without a dense solve; any change to these
-bytes is a behaviour change.
+from the structure constants, the cases over SKIP_GENS before derivation
+specs were validated without a dense solve, and the sl stabilize,
+centralizer and solve-inner cases before centralizer and solve_inner were
+solved per torus-weight block; any change to these bytes is a behaviour
+change.
 """
 
 import json
@@ -61,6 +63,55 @@ INCONSISTENT_JSON = (
     '{"components": {"3": [{"coeff": "1", "monomial": {"3": 3}}]}}], "kind": "inconsistent"}\n'
 )
 
+# sl_3 over (5, -1, 2): the extra variables x4, x5 leave many weight blocks
+# with a kernel
+SL3_CENTRALIZER_JSON = (
+    '{"basis": [{"components": {"4": [{"coeff": "1", "monomial": {}}]}}, '
+    '{"components": {"5": [{"coeff": "1", "monomial": {}}]}}, {"components": {"1": [{"coeff": "1", '
+    '"monomial": {"1": 1}}], "2": [{"coeff": "1", "monomial": {"2": 1}}], "3": [{"coeff": "1", '
+    '"monomial": {"3": 1}}]}}, {"components": {"4": [{"coeff": "1", "monomial": {"4": 1}}]}}, '
+    '{"components": {"4": [{"coeff": "1", "monomial": {"5": 1}}]}}, '
+    '{"components": {"5": [{"coeff": "1", "monomial": {"4": 1}}]}}, '
+    '{"components": {"5": [{"coeff": "1", "monomial": {"5": 1}}]}}, '
+    '{"components": {"1": [{"coeff": "1", "monomial": {"1": 1, "4": 1}}], "2": [{"coeff": "1", '
+    '"monomial": {"2": 1, "4": 1}}], "3": [{"coeff": "1", "monomial": {"3": 1, "4": 1}}]}}, '
+    '{"components": {"1": [{"coeff": "1", "monomial": {"1": 1, "5": 1}}], "2": [{"coeff": "1", '
+    '"monomial": {"2": 1, "5": 1}}], "3": [{"coeff": "1", "monomial": {"3": 1, "5": 1}}]}}, '
+    '{"components": {"4": [{"coeff": "1", "monomial": {"4": 2}}]}}, '
+    '{"components": {"4": [{"coeff": "1", "monomial": {"4": 1, "5": 1}}]}}, '
+    '{"components": {"4": [{"coeff": "1", "monomial": {"5": 2}}]}}, '
+    '{"components": {"5": [{"coeff": "1", "monomial": {"4": 2}}]}}, '
+    '{"components": {"5": [{"coeff": "1", "monomial": {"4": 1, "5": 1}}]}}, '
+    '{"components": {"5": [{"coeff": "1", "monomial": {"5": 2}}]}}, '
+    '{"components": {"1": [{"coeff": "1", "monomial": {"1": 1, "4": 2}}], "2": [{"coeff": "1", '
+    '"monomial": {"2": 1, "4": 2}}], "3": [{"coeff": "1", "monomial": {"3": 1, "4": 2}}]}}, '
+    '{"components": {"1": [{"coeff": "1", "monomial": {"1": 1, "4": 1, "5": 1}}], '
+    '"2": [{"coeff": "1", "monomial": {"2": 1, "4": 1, "5": 1}}], "3": [{"coeff": "1", '
+    '"monomial": {"3": 1, "4": 1, "5": 1}}]}}, {"components": {"1": [{"coeff": "1", '
+    '"monomial": {"1": 1, "5": 2}}], "2": [{"coeff": "1", "monomial": {"2": 1, "5": 2}}], '
+    '"3": [{"coeff": "1", "monomial": {"3": 1, "5": 2}}]}}, {"components": {"4": [{"coeff": "1", '
+    '"monomial": {"4": 3}}]}}, {"components": {"4": [{"coeff": "1", "monomial": {"4": 2, '
+    '"5": 1}}]}}, {"components": {"4": [{"coeff": "1", "monomial": {"4": 1, "5": 2}}]}}, '
+    '{"components": {"4": [{"coeff": "1", "monomial": {"5": 3}}]}}, '
+    '{"components": {"5": [{"coeff": "1", "monomial": {"4": 3}}]}}, '
+    '{"components": {"5": [{"coeff": "1", "monomial": {"4": 2, "5": 1}}]}}, '
+    '{"components": {"5": [{"coeff": "1", "monomial": {"4": 1, "5": 2}}]}}, '
+    '{"components": {"5": [{"coeff": "1", "monomial": {"5": 3}}]}}], "dimension": 26}\n'
+)
+
+SL2_INNER_JSON = (
+    '{"certificate": null, "field": {"components": {"1": [{"coeff": "1", "monomial": {"2": 1}}], '
+    '"2": [{"coeff": "1", "monomial": {"1": 2}}]}}, '
+    '"kernel": [{"components": {"3": [{"coeff": "1", "monomial": {}}]}}, '
+    '{"components": {"1": [{"coeff": "1", "monomial": {"1": 1}}], "2": [{"coeff": "1", '
+    '"monomial": {"2": 1}}]}}, {"components": {"3": [{"coeff": "1", "monomial": {"3": 1}}]}}, '
+    '{"components": {"1": [{"coeff": "1", "monomial": {"1": 1, "3": 1}}], "2": [{"coeff": "1", '
+    '"monomial": {"2": 1, "3": 1}}]}}, {"components": {"3": [{"coeff": "1", '
+    '"monomial": {"3": 2}}]}}, {"components": {"1": [{"coeff": "1", "monomial": {"1": 1, '
+    '"3": 2}}], "2": [{"coeff": "1", "monomial": {"2": 1, "3": 2}}]}}, '
+    '{"components": {"3": [{"coeff": "1", "monomial": {"3": 3}}]}}], "kind": "underdetermined"}\n'
+)
+
 CASES = [
     (
         ["solve-inner", "--gens", "L", "--n", "2", "--from-ad", "d1 + x1^2 d2", "--deg-min", "0"],
@@ -114,6 +165,40 @@ CASES = [
         '{"components": {"3": [{"coeff": "1", "monomial": {"3": 2}}]}}, '
         '{"components": {"3": [{"coeff": "1", "monomial": {"3": 3}}]}}], '
         '"kind": "underdetermined"}\n',
+    ),
+    (
+        ["stabilize", "--task", "centralizer", "--gens", "sl", "--n-from", "2", "--n-to", "4"],
+        0,
+        "n: 2, 3, 4\ndims: 7, 7, 7\nall stabilized: no\n",
+    ),
+    (
+        ["stabilize", "--task", "centralizer", "--gens", "sl", "--n-from", "2", "--n-to", "4",
+         "--format", "json"],
+        0,
+        '{"all_stabilized": false, "dims": [7, 7, 7], "first_stable_n": {}, "limit": null, '
+        '"n_values": [2, 3, 4], "stabilized": {}, "task": "centralizer", "trajectories": {}}\n',
+    ),
+    (
+        ["centralizer", "--gens", "sl", "--n", "3", "--max-var", "5", "--format", "json"],
+        0,
+        SL3_CENTRALIZER_JSON,
+    ),
+    (
+        ["solve-inner", "--gens", "sl", "--n", "2", "--from-ad", "x1^2 d2 + x2 d1"],
+        0,
+        "x2 d1 + x1^2 d2\nkernel dimension: 7\nkernel: d3\nkernel: x1 d1 + x2 d2\nkernel: x3 d3\n"
+        "kernel: x1*x3 d1 + x2*x3 d2\nkernel: x3^2 d3\nkernel: x1*x3^2 d1 + x2*x3^2 d2\nkernel: x3^3 d3\n",
+    ),
+    (
+        ["solve-inner", "--gens", "sl", "--n", "2", "--from-ad", "x1^2 d2 + x2 d1", "--format", "json"],
+        0,
+        SL2_INNER_JSON,
+    ),
+    (
+        ["solve-inner", "--gens", "L", "--n", "3", "--max-var", "4", "--deg-min", "0",
+         "--from-ad", "d2 + x4 d1 + x1*x2 d3 + x4^2 d4"],
+        3,
+        "inconsistent: coordinate d1 of the image of generator #7 cannot be matched\n",
     ),
 ]
 
