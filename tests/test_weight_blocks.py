@@ -118,6 +118,7 @@ def inner_cases():
         ("L", L_basis(3), span(4, -1, 1)), ("L", L_basis(3), span(3, 0, 2)),
         ("sl", sl_basis(2), span(3, -1, 2)), ("sl", sl_basis(3), span(4, -1, 1)),
         ("sl", sl_basis(3), span(2, -1, 2)), ("sl", sl_basis(2), span(2, 0, 2)),
+        ("L", L_basis(2), span(3, -1, 2, "project")), ("sl", sl_basis(2), span(3, 0, 1, "project")),
     ]
     for family, gens, search in configs:
         for _ in range(8):
