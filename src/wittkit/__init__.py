@@ -6,9 +6,9 @@ Core layers:
   fields       vector fields, the Lie bracket (generic, and term by term
                from the integer structure constants), gradings,
                truncation windows, and the standard generator families
-  linalg       exact rational linear algebra: dense integer Gauss-Jordan
-               elimination, and an incremental sparse rref that solves
-               the stacked sparse systems
+  linalg       exact rational linear algebra: one incremental sparse
+               rref (``RowSpace``) that solves every system; the dense
+               rref, rank, kernel and solve are readouts of it
   derivations  centralizers, submodule closures, first cohomology of
                truncated modules, inner-element reconstruction,
                stabilization scans

@@ -12,6 +12,7 @@ error (window violation, closure violation, inconsistent derivation spec).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -217,7 +218,10 @@ def _cmd_verify(args) -> int:
     return 0 if failed is None else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later
+    ones (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="wittkit",
         description="Exact toolkit for Lie algebras of polynomial vector fields.",

@@ -441,6 +441,28 @@ def h1_dimension(n: int, module: SubspaceSpec) -> int:
     return h1_report(n, module).h1
 
 
+def _structure_constants(gens: Sequence[VectorField]) -> list[tuple[tuple[int, int], dict[int, Rational] | None]]:
+    """For each generator pair p < q, in order, the coordinates {k: c} of
+    [g_p, g_q] = sum c g_k, zeros dropped, or None when the bracket leaves
+    the generators' terms or their span.  Raises DerivationSpecError when
+    the generators are linearly dependent."""
+    gen_maps = [_terms_of(g) for g in gens]
+    index = {t: k for k, t in enumerate(dict.fromkeys(t for m in gen_maps for t in m))}
+    span = linalg.SpanCoordinates([{index[t]: c for t, c in m.items()} for m in gen_maps], len(index))
+    if not span.independent:
+        raise DerivationSpecError("generators are linearly dependent")
+    gen_terms = [exponent_terms(g) for g in gens]
+    out = []
+    for p in range(len(gens)):
+        for q in range(p + 1, len(gens)):
+            bracket_pq = bracket_terms(gen_terms[p], gen_terms[q])
+            lam = None
+            if all(t in index for t in bracket_pq):
+                lam = span.coords({index[t]: c for t, c in bracket_pq.items()})
+            out.append(((p, q), lam))
+    return out
+
+
 def h1_report(n: int, module: SubspaceSpec, include_bases: bool = False) -> H1Report:
     if n < 2:
         raise ValueError(f"h1_dimension requires n >= 2, got {n}")
@@ -453,15 +475,10 @@ def h1_report(n: int, module: SubspaceSpec, include_bases: bool = False) -> H1Re
     # module action g.m = [g, m]: acts[k][t] holds the coordinates of g_k.m_t
     acts = [_action_columns(g, module) for g in gens]
 
-    # expand pairwise brackets over the generator basis (structure constants)
-    gen_span = SubspaceSpec(gens, TruncationWindow(max_var=n, degree_min=0, degree_max=0, mode="strict"))
-    pairs = [(p, q) for p in range(G) for q in range(p + 1, G)]
-    gen_terms = [exponent_terms(g) for g in gens]
-    lambdas = gen_span.sparse_coords([bracket_terms(gen_terms[p], gen_terms[q]) for p, q in pairs])
-
-    # cocycle condition: c([a,b]) - a.c(b) + b.c(a) = 0, unknowns c(g_k) stacked
+    # cocycle condition: c([a,b]) - a.c(b) + b.c(a) = 0, unknowns c(g_k)
+    # stacked; sl_n is closed under the bracket, so every pair expands
     z_rows: list[dict[int, Rational]] = []
-    for (p, q), lam in zip(pairs, lambdas):
+    for (p, q), lam in _structure_constants(gens):
         block: list[dict[int, Rational]] = [{} for _ in range(M)]
         for k, c in lam.items():
             for r in range(M):
@@ -548,36 +565,24 @@ class DerivationSpec:
         return DerivationSpec(generators, [g.bracket(w) for g in generators])
 
     def _validate(self) -> tuple[tuple[int, int], ...]:
-        gens = self.generators
-        gen_maps = [_terms_of(g) for g in gens]
-        index = {t: k for k, t in enumerate(dict.fromkeys(t for m in gen_maps for t in m))}
-        span = linalg.SpanCoordinates([{index[t]: c for t, c in m.items()} for m in gen_maps], len(index))
-        if not span.independent:
-            raise DerivationSpecError("generators are linearly dependent")
-
-        gen_terms = [exponent_terms(g) for g in gens]
+        expansions = _structure_constants(self.generators)
+        gen_terms = [exponent_terms(g) for g in self.generators]
         value_terms = [exponent_terms(v) for v in self.values]
         value_maps = [_terms_of(v) for v in self.values]
         skipped = []
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                bracket_ab = bracket_terms(gen_terms[a], gen_terms[b])
-                # no expansion when the bracket leaves the generators' terms or their span
-                lam = None
-                if all(t in index for t in bracket_ab):
-                    lam = span.coords({index[t]: c for t, c in bracket_ab.items()})
-                if lam is None:
-                    skipped.append((a, b))
-                    continue
-                expected = _combine((c, value_maps[k]) for k, c in lam.items())
-                actual = _combine([
-                    (1, bracket_terms(value_terms[a], gen_terms[b])),
-                    (1, bracket_terms(gen_terms[a], value_terms[b])),
-                ])
-                if expected != actual:
-                    raise DerivationSpecError(
-                        f"cocycle identity fails on generator pair ({a + 1}, {b + 1})"
-                    )
+        for (a, b), lam in expansions:
+            if lam is None:
+                skipped.append((a, b))
+                continue
+            expected = _combine((c, value_maps[k]) for k, c in lam.items())
+            actual = _combine([
+                (1, bracket_terms(value_terms[a], gen_terms[b])),
+                (1, bracket_terms(gen_terms[a], value_terms[b])),
+            ])
+            if expected != actual:
+                raise DerivationSpecError(
+                    f"cocycle identity fails on generator pair ({a + 1}, {b + 1})"
+                )
         return tuple(skipped)
 
 

@@ -6,15 +6,16 @@ integers (by the lcm of the denominators) before elimination; pivot rows
 are divided back by their pivot entry when results are read off.
 
 ``RowSpace`` keeps the integer rref of the vectors added to it as sparse
-rows.  Every production system goes through one: ``solve_sparse`` adds
-``{column: coefficient}`` rows, right-hand side appended, and
-``SpanCoordinates`` reads coordinates in the span of fixed basis vectors.
+rows; it is the only elimination routine.  Every system goes through one:
+``solve_sparse`` adds ``{column: coefficient}`` rows, right-hand side
+appended, and ``SpanCoordinates`` reads coordinates in the span of fixed
+basis vectors.
 
-The dense functions (``rref``, ``rank``, ``kernel``, ``solve``) are the
-oracle only, for the tests and ``wittkit verify``.  They work on a
-``RationalMatrix`` with ``wittkit._elim_py.eliminate``, pivoting on the
-leftmost nonzero column, first available row; ``solve_sparse`` returns
-exactly what ``solve`` returns on the densified system.
+The dense functions (``rref``, ``rank``, ``kernel``, ``solve``,
+``solve_many``) take a ``RationalMatrix`` and are short readouts of a
+``RowSpace`` or of ``solve_sparse`` over the matrix's nonzero entries.  No
+production path calls them; they stay for the API, ``wittkit verify`` and
+the benchmark's tracer, which wraps them by name.
 """
 
 from __future__ import annotations
@@ -109,104 +110,46 @@ class SolveOutcome:
     bad_row: int | None = None
 
 
-def _int_rows(m_rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction] | None = None) -> list[list[int]]:
-    """Scale each row, with its right-hand side appended, to coprime integers."""
-    out = []
-    for i, row in enumerate(m_rows):
-        full = list(row) if rhs is None else [*row, rhs[i]]
-        den = lcm(*[v.denominator for v in full])
-        # numerator * (den // denominator) is v * den without Fraction arithmetic
-        ints = [v.numerator * (den // v.denominator) for v in full]
-        g = 0
-        for v in ints:
-            if v:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def _nonzero_rows(m: RationalMatrix) -> list[dict[int, Fraction]]:
+    return [{j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)]
+
+
+def _row_space(m: RationalMatrix) -> RowSpace:
+    space = RowSpace(m.cols)
+    for row in _nonzero_rows(m):
+        space.add(row)
+    return space
 
 
 def rref(m: RationalMatrix) -> RationalMatrix:
-    """Reduced row echelon form (unique, hence deterministic)."""
-    reduced, pivots = _rref_rows(m.to_rows(), m.cols)
-    while len(reduced) < m.rows:
-        reduced.append([Fraction(0)] * m.cols)
-    return RationalMatrix.from_rows(reduced[: m.rows])
-
-
-def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    int_rows = _int_rows(rows)
-    pivots = _elim_py.eliminate(int_rows, ncols)
-    out = []
-    for k, c in enumerate(pivots):
-        pv = int_rows[k][c]
-        out.append([Fraction(v, pv) for v in int_rows[k]])
-    return out, pivots
+    """Reduced row echelon form (unique, hence deterministic), zero rows
+    last."""
+    entries = [v for row in _row_space(m).basis() for v in row]
+    entries += [Fraction(0)] * (m.rows * m.cols - len(entries))
+    return RationalMatrix(m.rows, m.cols, tuple(entries))
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(_elim_py.eliminate(_int_rows(m.to_rows()), m.cols))
+    return _row_space(m).rank
 
 
 def kernel(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Canonical nullspace basis: one vector per rref free column, with a 1
     at the free column and the negated rref column above the pivots."""
-    int_rows = _int_rows(m.to_rows())
-    pivots = _elim_py.eliminate(int_rows, m.cols)
-    return _kernel_from_reduced(int_rows, pivots, m.cols)
-
-
-def _kernel_from_reduced(int_rows: list[list[int]], pivots: list[int], ncols: int) -> list[tuple[Fraction, ...]]:
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for k, c in enumerate(pivots):
-            vec[c] = -Fraction(int_rows[k][free], int_rows[k][c])
-        basis.append(tuple(vec))
-    return basis
+    return list(solve(m, [0] * m.rows).kernel_basis)
 
 
 def solve(m: RationalMatrix, b: Sequence[Fraction | int]) -> SolveOutcome:
     """Solve M x = b exactly, classifying the solution set."""
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    m_rows = m.to_rows()
-    b = [Fraction(v) for v in b]
-    int_rows = _int_rows(m_rows, b)
-    pivots = _elim_py.eliminate(int_rows, m.cols)
-    kernel_basis = tuple(_kernel_from_reduced(int_rows, pivots, m.cols))
-    # the rows past the pivot rows are zero on every column of M
-    if any(row[m.cols] for row in int_rows[len(pivots):]):
-        return SolveOutcome("inconsistent", None, kernel_basis, _first_inconsistent_row(m_rows, b, m.cols))
-    x = [Fraction(0)] * m.cols
-    for k, c in enumerate(pivots):
-        x[c] = Fraction(int_rows[k][m.cols], int_rows[k][c])
-    if kernel_basis:
-        return SolveOutcome("underdetermined", tuple(x), kernel_basis)
-    return SolveOutcome("unique", tuple(x), ())
+    return solve_sparse(_nonzero_rows(m), m.cols, [Fraction(v) for v in b])
 
 
 def solve_many(m: RationalMatrix, bs: Sequence[Sequence[Fraction | int]]) -> list[SolveOutcome]:
     """``solve`` for each right-hand side; kept because the benchmark's
     tracer wraps it by name."""
     return [solve(m, b) for b in bs]
-
-
-def _first_inconsistent_row(m_rows: list[list[Fraction]], b: list[Fraction], ncols: int) -> int:
-    """The first i for which rows 0..i with their right-hand sides have no
-    solution: the first augmented row whose reduction pivots on the rhs."""
-    space = RowSpace(ncols + 1)
-    for i, (row, v) in enumerate(zip(m_rows, b)):
-        if space.add([*row, v]) and ncols in space._rows:
-            return i
-    raise ValueError("the system is consistent")
 
 
 def solve_sparse(
@@ -216,10 +159,9 @@ def solve_sparse(
 ) -> SolveOutcome:
     """Solve a system given by sparse rows ``{column: coefficient}``.
 
-    Each row, with its right-hand side as column ``ncols``, is added to one
-    ``RowSpace`` in order, and the outcome is read off its rref.  The
-    outcome equals ``solve`` on the densified system, with ``rhs``
-    defaulting to zero.
+    Each row, with its right-hand side (default zero) as column ``ncols``,
+    is added to one ``RowSpace`` in order, and the outcome is read off its
+    rref.
     """
     rhs = [0] * len(rows) if rhs is None else rhs
     if len(rhs) != len(rows):

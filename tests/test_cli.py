@@ -196,3 +196,22 @@ def test_cli_import_leaves_suites_unloaded():
     code = "import sys, wittkit.cli; print('wittkit.suites' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+def test_parser_is_built_on_first_use_then_shared(capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittkit
+    from wittkit import cli
+
+    # importing builds no parser: that cost would fall on every import
+    env = {**os.environ, "PYTHONPATH": str(Path(wittkit.__file__).parents[1])}
+    code = "import wittkit.cli; print(wittkit.cli.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
+    parser = cli.build_parser()
+    assert run(capsys, "bracket", "d1", "x1 d2")[0] == 0
+    assert cli.build_parser() is parser

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import oracle
 import pytest
 
 from wittkit.derivations import (
@@ -34,7 +35,7 @@ from wittkit.fields import (
     sl_basis,
     truncate,
 )
-from wittkit.linalg import RationalMatrix, RowSpace, solve, solve_sparse
+from wittkit.linalg import RationalMatrix, RowSpace, solve_sparse
 from wittkit.poly import Monomial, Polynomial, grlex_key
 from wittkit.suites import random_field
 from wittkit.textio import field_to_obj
@@ -241,7 +242,7 @@ def test_h1_report_invariants():
     ids=["sl2-deg0", "sl2-deg1-x3", "sl3-deg0", "sl2-euler-line"],
 )
 def test_h1_bases_satisfy_cocycle_identity(n, module):
-    # oracle: the generic bracket, and the generator expansion by the dense solve
+    # oracle: the generic bracket, and the generator expansion by the dense oracle solve
     gens = sl_basis(n)
     M = module.dim
     report = h1_report(n, module, include_bases=True)
@@ -249,7 +250,7 @@ def test_h1_bases_satisfy_cocycle_identity(n, module):
     cols = [deg0.coords(g) for g in gens]
     gen_matrix = RationalMatrix.from_rows([[col[t] for col in cols] for t in range(deg0.dim)])
     pairs = [(p, q) for p in range(len(gens)) for q in range(p + 1, len(gens))]
-    lams = {(p, q): solve(gen_matrix, deg0.coords(gens[p].bracket(gens[q]))).particular for p, q in pairs}
+    lams = {(p, q): oracle.solve(gen_matrix, deg0.coords(gens[p].bracket(gens[q]))).particular for p, q in pairs}
 
     def is_cocycle(vec):
         c = [module.field_from_coords(vec[k * M : (k + 1) * M]) for k in range(len(gens))]
@@ -416,7 +417,7 @@ def obstructed_specs():
 
 @pytest.mark.parametrize("spec, search", list(obstructed_specs()), ids=["unreachable", "two-blocks"])
 def test_solve_inner_certificate_is_first_unsolvable_prefix(spec, search):
-    # oracle: the dense solve on prefixes of the equations in (generator, term) order
+    # oracle: the dense oracle solve on prefixes of the equations in (generator, term) order
     result = solve_inner(spec, search)
     assert result.kind == "inconsistent"
     cert = result.certificate
@@ -430,7 +431,7 @@ def test_solve_inner_certificate_is_first_unsolvable_prefix(spec, search):
 
     def consistent(keep):
         m = RationalMatrix.from_rows([matrix[i] for i in keep]) if keep else RationalMatrix.zero(0, search.dim)
-        return solve(m, [rhs[i] for i in keep]).kind != "inconsistent"
+        return oracle.solve(m, [rhs[i] for i in keep]).kind != "inconsistent"
 
     k = labels.index((cert.generator_index, (cert.mono, cert.direction)))
     assert not consistent(range(k + 1))
@@ -490,9 +491,9 @@ def stacked_cases():
 @pytest.mark.parametrize("rows, ncols, rhs", list(stacked_cases()), ids=[
     "sl3-zero", "sl3-image", "sl3-noise", "L2-zero", "L2-image", "L2-noise", "unreachable", "two-blocks"])
 def test_solve_sparse_matches_dense_solve_on_stacked_systems(rows, ncols, rhs):
-    # oracle: the one-big-matrix solve on the densified system
+    # oracle: the one-big-matrix dense oracle solve on the densified system
     dense = RationalMatrix.from_rows([[row.get(c, 0) for c in range(ncols)] for row in rows])
-    assert solve_sparse(rows, ncols, rhs) == solve(dense, rhs)
+    assert solve_sparse(rows, ncols, rhs) == oracle.solve(dense, rhs)
 
 
 # -- structure-constant assembly against the generic bracket -----------------
@@ -515,7 +516,7 @@ def oracle_stacked_rows(gens, search, window):
 
 def oracle_action_columns(g, module):
     """The module action built from VectorField.bracket, coordinates taken by
-    index (full windows) or by the dense solve; ("escape", mono, direction)
+    index (full windows) or by the dense oracle solve; ("escape", mono, direction)
     or ("outside", image) name the first image leaving window or span."""
     images = [g.bracket(b) for b in module.basis]
     if module.window.mode == "project":
@@ -532,7 +533,7 @@ def oracle_action_columns(g, module):
     )
     cols = []
     for im in images:
-        outcome = solve(basis, [im.coeff(m, i) for m, i in module.terms()])
+        outcome = oracle.solve(basis, [im.coeff(m, i) for m, i in module.terms()])
         if outcome.kind == "inconsistent":
             return "outside", im
         cols.append({r: v for r, v in enumerate(outcome.particular) if v})

@@ -5,8 +5,9 @@ sparse block solver, the error cases before the systems were assembled
 from the structure constants, the cases over SKIP_GENS before derivation
 specs were validated without a dense solve, and the sl stabilize,
 centralizer and solve-inner cases before centralizer and solve_inner were
-solved per torus-weight block; any change to these bytes is a behaviour
-change.
+solved per torus-weight block, and the ``verify`` suites ``linalg`` and
+``centralizer`` before the dense linalg functions were read off
+``RowSpace``; any change to these bytes is a behaviour change.
 """
 
 import json
@@ -112,6 +113,36 @@ SL2_INNER_JSON = (
     '{"components": {"3": [{"coeff": "1", "monomial": {"3": 3}}]}}], "kind": "underdetermined"}\n'
 )
 
+LINALG_CHECKS = [
+    ("linalg.rref-identity", ""), ("linalg.rref-rank-deficient", ""), ("linalg.rref-zero", ""),
+    ("linalg.kernel-identity", ""), ("linalg.kernel-zero", ""), ("linalg.kernel-line", ""),
+    ("linalg.solve-unique", ""), ("linalg.solve-underdetermined", ""),
+    ("linalg.solve-inconsistent", ""), ("linalg.rref-idempotent", ""), ("linalg.kernel-exact", ""),
+    ("linalg.rank-nullity", ""), ("linalg.deterministic", ""), ("linalg.solve-exact", ""),
+]
+
+CENTRALIZER_CHECKS = [
+    ("centralizer.sl3-euler-line", ""), ("centralizer.sl3-beyond-window-dim5", "dim=5"),
+    ("centralizer.L2-trivial", "dim=0"), ("centralizer.L3-trivial", "dim=0"),
+    ("centralizer.soundness-sl3-euler-line", ""), ("centralizer.soundness-sl3-beyond-window", ""),
+    ("centralizer.completeness-sl3", ""), ("centralizer.predicted-shape-double-inclusion", ""),
+    ("centralizer.rigidity-positive-degree-n2", "dim=0"),
+    ("centralizer.rigidity-positive-degree-n3", "dim=0"),
+]
+
+
+def verify_text(checks):
+    """``verify`` text stdout at the default seed when every check passes;
+    a passing check prints no detail."""
+    lines = [f"ok {item}" for item, _ in checks]
+    return "\n".join(["seed: 20250401", *lines, f"all {len(checks)} checks passed"]) + "\n"
+
+
+def verify_json(checks):
+    items = ", ".join(f'{{"detail": "{detail}", "item": "{item}", "ok": true}}' for item, detail in checks)
+    return f'{{"checks": [{items}], "passed": true, "seed": 20250401}}\n'
+
+
 CASES = [
     (
         ["solve-inner", "--gens", "L", "--n", "2", "--from-ad", "d1 + x1^2 d2", "--deg-min", "0"],
@@ -200,6 +231,11 @@ CASES = [
         3,
         "inconsistent: coordinate d1 of the image of generator #7 cannot be matched\n",
     ),
+    (["verify", "--suite", "linalg"], 0, verify_text(LINALG_CHECKS)),
+    (["verify", "--suite", "linalg", "--format", "json"], 0, verify_json(LINALG_CHECKS)),
+    # the completeness check compares the centralizer's dimension with linalg.rank
+    (["verify", "--suite", "centralizer"], 0, verify_text(CENTRALIZER_CHECKS)),
+    (["verify", "--suite", "centralizer", "--format", "json"], 0, verify_json(CENTRALIZER_CHECKS)),
 ]
 
 

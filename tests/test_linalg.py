@@ -1,11 +1,14 @@
-"""Exact linear algebra, cross-checked against an independent sympy oracle."""
+"""Exact linear algebra, cross-checked against two independent oracles:
+sympy, and the dense Gauss-Jordan eliminator of ``oracle.py``."""
 
 import random
 from fractions import Fraction
 
+import oracle
 import pytest
 import sympy
 
+from wittkit import linalg
 from wittkit.linalg import (
     RationalMatrix,
     RowSpace,
@@ -23,6 +26,10 @@ def rows_of(m):
     return [[sympy.Rational(v) for v in m.row(i)] for i in range(m.rows)]
 
 
+# the sympy cross-checks run on the public readouts and on the dense oracle
+ENGINES = [pytest.param(linalg, id="public"), pytest.param(oracle, id="oracle")]
+
+
 def random_matrix(rng, r, c, bound=10):
     return RationalMatrix.from_rows(
         [[Fraction(rng.randint(-bound, bound), rng.randint(1, 4)) for _ in range(c)] for _ in range(r)]
@@ -35,6 +42,9 @@ def test_rref_goldens():
     assert rref(RationalMatrix.from_rows([[2, 4], [1, 2]])) == RationalMatrix.from_rows([[1, 2], [0, 0]])
     z = RationalMatrix.zero(2, 3)
     assert rref(z) == z
+    # no rows, or no columns: the shape is kept
+    for empty in (RationalMatrix(0, 3, ()), RationalMatrix(2, 0, ())):
+        assert rref(empty) == empty
 
 
 def test_kernel_goldens():
@@ -60,22 +70,28 @@ def test_solve_shape_checks():
         RationalMatrix(2, 2, (Fraction(1),))
 
 
-def test_rref_matches_sympy():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_rref_matches_sympy(engine):
     rng = random.Random(421)
     for _ in range(60):
         r, c = rng.randint(1, 7), rng.randint(1, 7)
         m = random_matrix(rng, r, c)
-        ours = rref(m)
+        ours = engine.rref(m)
         theirs, _ = sympy.Matrix(rows_of(m)).rref()
         assert rows_of(ours) == theirs.tolist()
+        assert ours == oracle.rref(m)
+        assert engine.rank(m) == oracle.rank(m)
 
 
-def test_kernel_matches_sympy_span():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_kernel_matches_sympy_span(engine):
     rng = random.Random(422)
     for _ in range(60):
         r, c = rng.randint(1, 7), rng.randint(1, 7)
         m = random_matrix(rng, r, c)
-        ours = kernel(m)
+        ours = engine.kernel(m)
+        # the order of the vectors is part of the result
+        assert ours == oracle.kernel(m)
         theirs = sympy.Matrix(rows_of(m)).nullspace()
         assert len(ours) == len(theirs)
         for vec in ours:
@@ -98,13 +114,16 @@ def test_rank_nullity_and_determinism():
         assert rref(rref(m)) == rref(m)
 
 
-def test_solve_classification_matches_sympy():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_solve_classification_matches_sympy(engine):
     rng = random.Random(424)
     for _ in range(60):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, r, c, bound=4)
         b = [Fraction(rng.randint(-4, 4)) for _ in range(r)]
-        ours = solve(m, b)
+        ours = engine.solve(m, b)
+        # kernel order and bad_row included
+        assert ours == oracle.solve(m, b)
         A = sympy.Matrix(rows_of(m))
         rhs = sympy.Matrix([sympy.Rational(v) for v in b])
         consistent = A.rank() == A.row_join(rhs).rank()
@@ -128,10 +147,15 @@ def test_solve_many_shares_results():
     assert batch == singles
 
 
-def test_big_integer_entries():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_big_integer_entries(engine):
     # entries far beyond 64 bits stay exact
     big = 10**40
-    assert rref(RationalMatrix.from_rows([[big, 1], [1, big]])) == RationalMatrix.identity(2)
+    assert engine.rref(RationalMatrix.from_rows([[big, 1], [1, big]])) == RationalMatrix.identity(2)
+    m = RationalMatrix.from_rows([[big, 1, Fraction(1, big)], [1, big, big**2]])
+    assert engine.rref(m) == oracle.rref(m)
+    assert engine.kernel(m) == oracle.kernel(m)
+    assert engine.solve(m, [big, -1]) == oracle.solve(m, [big, -1])
 
 
 def test_rowspace_membership():
@@ -181,7 +205,7 @@ def random_vectors(rng, ncols, count):
 
 
 def nonzero_rref_rows(vectors):
-    reduced = rref(RationalMatrix.from_rows(vectors))
+    reduced = oracle.rref(RationalMatrix.from_rows(vectors))
     return [reduced.row(i) for i in range(reduced.rows) if any(reduced.row(i))]
 
 
@@ -267,14 +291,14 @@ def test_solve_sparse_matches_dense_solve():
     for _ in range(1000):
         rows, ncols, rhs = random_sparse_system(rng)
         dense = densify(rows, ncols)
-        assert solve_sparse(rows, ncols) == solve(dense, [0] * len(rows))
+        assert solve_sparse(rows, ncols) == oracle.solve(dense, [0] * len(rows))
         ours = solve_sparse(rows, ncols, rhs)
-        assert ours == solve(dense, rhs)
+        assert ours == oracle.solve(dense, rhs)
         kinds[ours.kind] += 1
         if ours.kind == "inconsistent":
             # bad_row is the first prefix of equations with no solution
             for i in range(ours.bad_row + 1):
-                prefix = solve(densify(rows[: i + 1], ncols), rhs[: i + 1])
+                prefix = oracle.solve(densify(rows[: i + 1], ncols), rhs[: i + 1])
                 assert (prefix.kind == "inconsistent") == (i == ours.bad_row)
     assert min(kinds.values()) >= 60
 
@@ -284,6 +308,7 @@ def test_solve_bad_row_does_not_depend_on_pivoting():
     rows = [{4: Fraction(2, 3)}, {1: 5, 2: Fraction(3, 2)}, {4: Fraction(-3, 2)},
             {4: Fraction(-5, 3)}, {3: Fraction(-1, 2)}]
     rhs = [1, -1, -2, 2, 1]
+    assert oracle.solve(densify(rows, 5), rhs).bad_row == 2
     assert solve(densify(rows, 5), rhs).bad_row == 2
     assert solve_sparse(rows, 5, rhs).bad_row == 2
     assert solve_sparse([{}, {0: 1}, {0: 1}], 1, [0, 1, 2]).bad_row == 2
@@ -341,7 +366,7 @@ def test_span_coordinates_match_dense_solve():
         dim = len(basis)
         m = RationalMatrix(ncols, dim, tuple(Fraction(vec.get(r, 0)) for r in range(ncols) for vec in basis))
         ours = SpanCoordinates(basis, ncols)
-        outcomes = [solve(m, [probe.get(r, 0) for r in range(ncols)]) for probe in probes]
+        outcomes = [oracle.solve(m, [probe.get(r, 0) for r in range(ncols)]) for probe in probes]
         assert ours.independent == (outcomes[0].kernel_basis == ())
         seen["independent" if ours.independent else "dependent"] += 1
         for probe, outcome in zip(probes, outcomes):
